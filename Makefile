@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: verify build test vet race fuzz profile bench-smoke fmt-check serve-smoke fleet-smoke corpus-smoke title-smoke loop-smoke clean
+.PHONY: verify build test vet race bench-check fuzz profile bench-smoke fmt-check serve-smoke fleet-smoke corpus-smoke title-smoke loop-smoke clean
 
 ## verify is the tier-1 gate: every PR must leave it green.
-verify: fmt-check vet build race
+verify: fmt-check vet build race bench-check
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,13 @@ test:
 ## wedged mid-run) under the race detector — the fleet's tier-1 gate.
 race:
 	$(GO) test -race -timeout 20m ./...
+
+## bench-check vets and tests the benchmark harness (perfbench, a separate
+## module that builds against this one through a replace directive), so a
+## core or corpus API change that breaks the benchmark's build fails the
+## tier-1 gate. It runs offline and writes nothing under perfbench/.
+bench-check:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet ./... && GOFLAGS=-mod=mod GOPROXY=off $(GO) test ./...
 
 ## profile runs the bootstrap overhead benchmarks with CPU and memory
 ## profiles; inspect them with `go tool pprof cpu.prof`.

@@ -18,10 +18,6 @@
 // product pages with dictionary tables; title renders one listing title per
 // item and records the distant-supervision lexicon in the manifest.
 //
-// -flat writes the legacy layout instead (manifest.json plus one HTML file
-// per page), kept for compatibility; readers accept both. It is
-// detail-page-only: the title workload has no legacy consumers.
-//
 // -append grows an existing sharded corpus in place (delta ingestion):
 //
 //	paegen -append -items 120 -seed 2 -out ./corpus
@@ -37,27 +33,15 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/corpus"
 	"repro/internal/gen"
 	"repro/internal/seed"
 	"repro/internal/workload"
 )
-
-// legacyManifest is the flat layout's JSON sidecar.
-type legacyManifest struct {
-	Category string            `json:"category"`
-	Lang     string            `json:"lang"`
-	Pages    int               `json:"pages"`
-	Queries  []string          `json:"queries"`
-	Aliases  map[string]string `json:"aliases"`
-	Truth    []gen.TruthTriple `json:"truth"`
-}
 
 func main() {
 	var (
@@ -67,7 +51,6 @@ func main() {
 		out       = flag.String("out", "corpus", "output directory")
 		shardSize = flag.Int("shard-size", corpus.DefaultShardSize, "pages per shard")
 		wkFlag    = flag.String("workload", "", `page shape: "detail-page" (default) or "title"`)
-		flat      = flag.Bool("flat", false, "write the legacy flat layout (manifest.json + pages/*.html)")
 		appendTo  = flag.Bool("append", false, "append new pages to the existing corpus at -out (delta ingestion)")
 		list      = flag.Bool("list", false, "list category names and exit")
 	)
@@ -86,10 +69,6 @@ func main() {
 		return
 	}
 	if *appendTo {
-		if *flat {
-			fmt.Fprintln(os.Stderr, "-append requires the sharded layout; it cannot be combined with -flat")
-			os.Exit(2)
-		}
 		appendCorpus(*out, *items, *seedFlag, *wkFlag, *name, flagPassed("category"))
 		return
 	}
@@ -99,14 +78,6 @@ func main() {
 		os.Exit(2)
 	}
 	opt := gen.Options{Seed: *seedFlag, Items: *items}
-	if *flat {
-		if wk != workload.DetailPage {
-			fmt.Fprintln(os.Stderr, "-flat supports only the detail-page workload")
-			os.Exit(2)
-		}
-		writeFlat(cat, opt, *out)
-		return
-	}
 
 	w, err := corpus.NewWriter(*out, corpus.WriterOptions{
 		Name: cat.Name, Lang: cat.Lang, ShardSize: *shardSize,
@@ -213,40 +184,6 @@ func flagPassed(name string) bool {
 		}
 	})
 	return passed
-}
-
-// writeFlat emits the legacy one-file-per-page layout. Unlike the sharded
-// writer it materialises the whole corpus, which is exactly why it is no
-// longer the default.
-func writeFlat(cat gen.Category, opt gen.Options, out string) {
-	c := gen.Generate(cat, opt)
-	pagesDir := filepath.Join(out, "pages")
-	if err := os.MkdirAll(pagesDir, 0o755); err != nil {
-		fatal(err)
-	}
-	for _, p := range c.Pages {
-		if err := os.WriteFile(filepath.Join(pagesDir, p.ID+".html"), []byte(p.HTML), 0o644); err != nil {
-			fatal(err)
-		}
-	}
-	m := legacyManifest{
-		Category: c.Name, Lang: c.Lang, Pages: len(c.Pages),
-		Queries: c.Queries, Aliases: c.Aliases, Truth: c.Truth,
-	}
-	f, err := os.Create(filepath.Join(out, "manifest.json"))
-	if err != nil {
-		fatal(err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(m); err != nil {
-		fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %d pages, %d queries, %d truth triples to %s (flat layout)\n",
-		len(c.Pages), len(c.Queries), len(c.Truth), out)
 }
 
 func fatal(err error) {

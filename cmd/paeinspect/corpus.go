@@ -37,11 +37,7 @@ func corpusMain(args []string) {
 	}
 	m := r.Manifest
 
-	layout := "sharded"
-	if r.Flat() {
-		layout = "flat (legacy)"
-	}
-	fmt.Printf("corpus %s (schema %d, %s layout)\n", dir, m.SchemaVersion, layout)
+	fmt.Printf("corpus %s (schema %d, sharded layout)\n", dir, m.SchemaVersion)
 	if wk, err := m.WorkloadKind(); err != nil {
 		fmt.Printf("workload: %s (unknown to this build)\n", m.Workload)
 	} else {
@@ -57,11 +53,7 @@ func corpusMain(args []string) {
 	fmt.Println()
 	fmt.Printf("pages: %d  queries: %d  aliases: %d\n", m.Pages, len(m.Queries), len(m.Aliases))
 	if m.TruthCount > 0 {
-		where := "embedded in manifest"
-		if m.TruthFile != "" {
-			where = m.TruthFile
-		}
-		fmt.Printf("truth: %d judgments (%s)\n", m.TruthCount, where)
+		fmt.Printf("truth: %d judgments (%s)\n", m.TruthCount, m.TruthFile)
 	} else {
 		fmt.Println("truth: none")
 	}

@@ -1,6 +1,5 @@
-// Command paerun executes the full PAE bootstrap on a corpus directory
-// produced by paegen — the sharded layout (corpus.json + JSONL shards) or
-// the legacy flat layout (manifest.json + pages/*.html) — and writes the
+// Command paerun executes the full PAE bootstrap on a sharded corpus
+// directory produced by paegen (corpus.json + JSONL shards) and writes the
 // extracted triples as JSON lines. Pages stream from disk through the
 // corpus layer; with -spill the prepared corpus spills to bounded shards
 // too, so memory scales with the working set, not the corpus. When the

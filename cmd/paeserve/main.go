@@ -10,7 +10,7 @@
 //	paeserve -bundle model.paeb -corpus ./corpus -out triples.jsonl
 //
 // The second form is one-shot batch mode: instead of listening, the pages
-// of an on-disk corpus directory (sharded or legacy flat layout) stream
+// of an on-disk sharded corpus directory stream
 // through the extractor and the triples are written as JSON lines — offline
 // re-extraction with the exact serving configuration, without standing up
 // an HTTP server.

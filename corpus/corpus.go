@@ -4,11 +4,11 @@
 // cmd/paerun wires up behind -corpus and cmd/paegen writes behind
 // -shard-size.
 //
-//	r, err := corpus.Open("./corpus")   // sharded or legacy flat layout
+//	r, err := corpus.Open("./corpus")   // a sharded corpus directory
 //	src := r.Source()
 //	defer src.Close()
 //	result, err := pae.RunSource(ctx,
-//	    pae.Input{Source: src, Queries: r.Manifest().Queries, Lang: r.Manifest().Lang},
+//	    pae.Input{Source: src, Queries: r.Manifest.Queries, Lang: r.Manifest.Lang},
 //	    pae.Config{})
 //
 // Reads verify the manifest's per-shard SHA-256 fingerprints as they
@@ -33,7 +33,7 @@ const DefaultShardSize = corpus.DefaultShardSize
 
 // Typed failure sentinels; match with errors.Is.
 var (
-	// ErrNotCorpus: the directory holds neither a sharded nor a flat corpus.
+	// ErrNotCorpus: the directory holds no sharded corpus (no corpus.json).
 	ErrNotCorpus = corpus.ErrNotCorpus
 	// ErrSchemaVersion: the corpus was written under a different schema
 	// version (the error is a *VersionError carrying both versions).
@@ -55,7 +55,7 @@ type Source = corpus.Source
 // SliceSource adapts an in-memory document slice to a Source.
 type SliceSource = corpus.SliceSource
 
-// Reader opens an on-disk corpus directory (sharded or legacy flat layout).
+// Reader opens an on-disk sharded corpus directory.
 type Reader = corpus.Reader
 
 // Manifest describes a sharded corpus: schema version, name/lang, query
@@ -75,14 +75,14 @@ type WriterOptions = corpus.WriterOptions
 // NewSliceSource wraps an in-memory document slice in a Source.
 func NewSliceSource(docs []Document) *SliceSource { return corpus.NewSliceSource(docs) }
 
-// Open opens a corpus directory in either supported layout.
+// Open opens a sharded corpus directory.
 func Open(dir string) (*Reader, error) { return corpus.Open(dir) }
 
 // ReadManifest reads only the manifest of a sharded corpus — cheap
 // inspection without touching page bodies.
 func ReadManifest(dir string) (*Manifest, error) { return corpus.ReadManifest(dir) }
 
-// IsDir reports whether dir looks like a corpus directory in any layout.
+// IsDir reports whether dir looks like a sharded corpus directory.
 func IsDir(dir string) bool { return corpus.IsDir(dir) }
 
 // NewWriter creates a sharded corpus writer rooted at dir.

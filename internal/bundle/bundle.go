@@ -128,7 +128,7 @@ type SeedSettings struct {
 
 // CorpusProvenance names the exact corpus state a training run saw, for
 // bundles built from a content-addressed (sharded, appendable) corpus under a
-// checkpoint. The zero value means "not recorded" — flat corpora and
+// checkpoint. The zero value means "not recorded" — in-memory corpora and
 // non-checkpointed runs — and keeps the bundle in its pre-v3 wire form.
 //
 // It lives beside Provenance rather than inside it: Provenance is embedded in

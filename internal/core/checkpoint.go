@@ -34,9 +34,10 @@ const checkpointVersion = 2
 // count, and — for sharded on-disk corpora — the shard cursor at the
 // iteration boundary. Iterations are atomic, so a completed iteration has
 // always consumed every shard: the cursor records the corpus's shard count
-// (-1 for unsharded sources). Resume refuses a checkpoint whose stamp
-// disagrees with the corpus it is reading; silently continuing a run over a
-// different corpus would violate the byte-identical-resume contract.
+// (-1 for sources that are not content-addressed). Resume refuses a
+// checkpoint whose stamp disagrees with the corpus it is reading; silently
+// continuing a run over a different corpus would violate the
+// byte-identical-resume contract.
 type corpusStamp struct {
 	SHA256    string
 	Documents int

@@ -350,17 +350,31 @@ func (p *Pipeline) Run(c Corpus) (*Result, error) {
 // and therefore every output, is invariant of how a corpus is sharded.
 const prepChunk = 64
 
-// runState carries the loop-invariant run inputs plus the labeled dataset
-// that each iteration rewrites, so one Tagger–Cleaner cycle is a single
-// function with a single span to close.
+// runState carries one run through its stages: the loop-invariant inputs,
+// what the seed and prep stages derive from the corpus, and the labeled
+// dataset that each iteration rewrites — so every stage is one function with
+// one span to close.
 type runState struct {
+	cfg     Config
+	in      Input
+	wk      workload.Kind
+	fp      string
 	res     *Result
 	rec     *obs.Recorder
 	runSpan *obs.Span
-	dataset []tagger.Sequence
-	prep    prepared
-	fp      string
-	ident   corpusIdent
+	// iter is the Tagger–Cleaner cycle in progress; 0 before the loop.
+	iter int
+
+	// ident names the corpus in checkpoints. cache memoizes per-shard
+	// seed/prep work; it is nil unless the run is checkpointed over a
+	// content-addressed source.
+	ident corpusIdent
+	cache *shardCache
+	// complete is the seed (the paper's complete_cc) that labels the
+	// initial training set.
+	complete []seed.Candidate
+	prep     prepared
+	dataset  []tagger.Sequence
 }
 
 // RunContext executes the full bootstrap on the in-memory corpus under ctx.
@@ -407,12 +421,9 @@ func (p *Pipeline) RunSource(ctx context.Context, in Input) (res *Result, err er
 	if in.Source == nil {
 		return nil, ErrNoDocuments
 	}
-	src := in.Source
 	cfg := p.cfg.withDefaults(in.Lang)
 	cfg.Semantic.Obs = cfg.Obs
 	rec := cfg.Obs
-	scfg := cfg.Seed
-	inj := cfg.FaultInjector
 	wk := cfg.Workload.WithDefault()
 	if !wk.Valid() {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownWorkload, cfg.Workload)
@@ -426,8 +437,9 @@ func (p *Pipeline) RunSource(ctx context.Context, in Input) (res *Result, err er
 		// byte-identical to pre-refactor output.
 		runSpan.SetAttr("workload", wk.String())
 	}
-	rec.SetFingerprint(cfg.fingerprint())
-	if ins, ok := src.(corpus.Instrumented); ok {
+	fp := cfg.fingerprint()
+	rec.SetFingerprint(fp)
+	if ins, ok := in.Source.(corpus.Instrumented); ok {
 		ins.Instrument(rec, runSpan)
 	}
 	defer func() {
@@ -442,62 +454,195 @@ func (p *Pipeline) RunSource(ctx context.Context, in Input) (res *Result, err er
 		return nil, err
 	}
 
-	// Pre-processor (Figure 1, lines 1–5), isolated as one stage: a panic
-	// on malformed field HTML becomes a typed error, not a process crash.
-	// This is the first pass over the Source: dictionary-table candidates
-	// are discovered chunk by chunk, and — when checkpointing is on — the
-	// same pass hashes the document stream into the corpus stamp that guards
-	// resumes against a changed corpus.
 	res = &Result{bundleCfg: cfg, lang: in.Lang}
-	var complete, clean []seed.Candidate
-	stamp := corpusStamp{Shards: -1}
-	if s, ok := src.(corpus.Sharded); ok {
-		stamp.Shards = s.Shards()
-	}
-	// Content-addressed sharded corpora unlock the incremental machinery:
-	// the per-shard SHA list and generation counter ride the checkpoint
-	// (classifying a later corpus as grown-by-append vs incompatible), and
-	// a checkpointed run memoizes its per-shard seed/prep derivations in
-	// the shard cache so a grown-corpus re-bootstrap recomputes only the
-	// appended shards.
-	ident := corpusIdent{}
-	var cache *shardCache
-	ca, contentAddressed := src.(corpus.ContentAddressed)
-	if contentAddressed {
-		ident.generation = ca.Generation()
-		for _, si := range ca.ShardInfos() {
-			ident.shardSHAs = append(ident.shardSHAs, si.SHA256)
+	st := &runState{cfg: cfg, in: in, wk: wk, fp: fp, res: res, rec: rec, runSpan: runSpan}
+	defer func() {
+		if st.prep != nil {
+			st.prep.close()
 		}
-		if cfg.Checkpoint != "" {
-			// The cache key blanks the iteration count: seed discovery and
-			// prep are corpus passes whose output the schedule never shapes,
-			// so a 1-iteration warm refresh may reuse a 5-iteration
-			// bootstrap's shard work.
-			cache = openShardCache(cfg.Checkpoint,
-				cacheKeyOf(fingerprintSansIters(cfg.fingerprint()), in.Lang, in.Lexicon), ca.ShardInfos(), rec)
+	}()
+	st.openCorpus()
+	if err := st.seedStage(ctx); err != nil {
+		return res, err
+	}
+	if err := st.prepStage(ctx); err != nil {
+		return res, err
+	}
+	startIter, err := st.loadStage(ctx)
+	if err != nil {
+		return res, err
+	}
+	for iter := startIter; iter <= cfg.Iterations; iter++ {
+		if stop := st.iteration(ctx, iter); stop {
+			break
 		}
 	}
-	// The title workload seeds by distant supervision: lexicon values are
-	// matched against the titles in place of dictionary-table harvesting.
-	// The matcher builds once, outside the chunk loop.
-	var titleMatcher *seed.TitleMatcher
-	if wk == workload.Title {
-		if len(in.Lexicon) == 0 {
-			res.StopReason = StopReason{Stage: faultinject.StageSeed,
-				Err: fmt.Errorf("%w: title workload needs a seed lexicon", ErrNoSeed)}
-			return res, res.StopReason.Err
-		}
-		titleMatcher = seed.NewTitleMatcher(in.Lexicon, scfg)
+	return res, nil
+}
+
+// stage runs fn as one guarded pipeline stage in a child span of parent
+// (see inSpan) and records a failure as the run's StopReason, attributed to
+// the stage name and the cycle in progress. Every stage whose failure stops
+// the run goes through here.
+func (st *runState) stage(parent *obs.Span, name string, fn func(sp *obs.Span) error) error {
+	err := inSpan(parent, st.cfg.FaultInjector, name, fn)
+	if err != nil {
+		st.res.StopReason = StopReason{Stage: name, Iteration: st.iter, Err: err}
 	}
-	seedSpan := runSpan.Child(faultinject.StageSeed)
-	if err := guard(inj, faultinject.StageSeed, func() error {
+	return err
+}
+
+// inSpan runs fn behind guard (panic isolation, fault injection at name) in
+// a child span of parent named name, whose close status mirrors the guard's
+// outcome (ok / error / panic / canceled). The span is handed to fn so a
+// stage can attach attributes (worker counts, batch sizes) without racing
+// the close.
+func inSpan(parent *obs.Span, inj *faultinject.Injector, name string, fn func(sp *obs.Span) error) error {
+	sp := parent.Child(name)
+	err := guard(inj, name, func() error { return fn(sp) })
+	sp.EndStatus(spanStatus(err), err)
+	return err
+}
+
+// openCorpus records what a content-addressed source says about itself. Its
+// per-shard SHA list and generation counter ride the checkpoint, classifying
+// a later corpus as grown-by-append or incompatible. A checkpointed run also
+// opens the shard cache, which memoizes per-shard seed/prep work so a
+// grown-corpus re-bootstrap recomputes only the appended shards.
+func (st *runState) openCorpus() {
+	st.ident.stamp.Shards = -1
+	ca, ok := st.in.Source.(corpus.ContentAddressed)
+	if !ok {
+		return
+	}
+	infos := ca.ShardInfos()
+	st.ident.stamp.Shards = len(infos)
+	st.ident.generation = ca.Generation()
+	for _, si := range infos {
+		st.ident.shardSHAs = append(st.ident.shardSHAs, si.SHA256)
+	}
+	if st.cfg.Checkpoint != "" {
+		// The cache key blanks the iteration count: seed discovery and prep
+		// are corpus passes whose output the schedule never shapes, so a
+		// 1-iteration warm refresh may reuse a 5-iteration bootstrap's shard
+		// work.
+		st.cache = openShardCache(st.cfg.Checkpoint,
+			cacheKeyOf(fingerprintSansIters(st.fp), st.in.Lang, st.in.Lexicon), infos, st.rec)
+	}
+}
+
+// walk is the bootstrap's one read of the Source. It streams every document
+// after the shard cache's reused prefix (all of them without a cache) to fn
+// in prepChunk-bounded chunks, in corpus order, and returns how many it
+// read. It always reads on to io.EOF, so the source verifies, counts and
+// closes every shard it crosses, the final one included; a failed walk
+// rewinds the source, which closes the shard it stopped in.
+//
+// With a cache, chunks never straddle a content shard, and shardEnd(i) runs
+// once the source has read past shard i's last page — that is, once the
+// shard has passed its fingerprint check — so the cache stages and commits
+// work only for verified shards. Discovery and preparation are strictly
+// per-document, so the shard-aligned chunking yields the same outputs as
+// the layout-blind chunking of an uncached walk.
+func (st *runState) walk(fn func(chunk []seed.Document) error, shardEnd func(i int)) (docs int, err error) {
+	src := st.in.Source
+	defer func() {
+		if err != nil {
+			_ = src.Reset() // only to close the open shard; err is the failure to report
+		}
+	}()
+	var shards []corpus.ShardInfo
+	shard := 0
+	if st.cache != nil {
+		shards, shard = st.cache.infos, st.cache.prefix
+		err = src.(corpus.ContentAddressed).SeekShard(shard)
+	} else {
+		err = src.Reset()
+	}
+	if err != nil {
+		return 0, err
+	}
+	// left counts the pages still due from the current shard; it is
+	// negative when no shard is tracked, so only a tracked shard ends.
+	due := func() int {
+		if shard < len(shards) {
+			return shards[shard].Pages
+		}
+		return -1
+	}
+	left := due()
+	chunk := make([]seed.Document, 0, prepChunk)
+	flush := func() error {
+		if len(chunk) == 0 {
+			return nil
+		}
+		err := fn(chunk)
+		chunk = chunk[:0]
+		return err
+	}
+	for {
+		d, err := src.Next()
+		if err != nil && err != io.EOF {
+			return docs, err
+		}
+		for left == 0 {
+			if err := flush(); err != nil {
+				return docs, err
+			}
+			shardEnd(shard)
+			shard++
+			left = due()
+		}
+		if err == io.EOF {
+			return docs, flush()
+		}
+		chunk = append(chunk, d)
+		docs, left = docs+1, left-1
+		if len(chunk) == prepChunk {
+			if err := flush(); err != nil {
+				return docs, err
+			}
+		}
+	}
+}
+
+// seedStage is the pre-processor (Figure 1, lines 1–5) and the first pass
+// over the Source: dictionary-table candidates — for titles, lexicon matches
+// — are discovered chunk by chunk, then aggregated, cleaned and diversified
+// into the seed. With checkpointing on, the same pass hashes the document
+// stream into the corpus stamp that guards resumes against a changed corpus.
+// A panic on malformed field HTML becomes a typed error, not a crash.
+func (st *runState) seedStage(ctx context.Context) error {
+	cfg, res, rec, scfg := st.cfg, st.res, st.rec, st.cfg.Seed
+	if err := st.stage(st.runSpan, faultinject.StageSeed, func(*obs.Span) error {
+		// The title workload seeds by distant supervision: lexicon values
+		// are matched against the titles in place of dictionary-table
+		// harvesting. The matcher builds once, outside the walk.
+		discover := seed.DiscoverCandidates
+		if st.wk == workload.Title {
+			if len(st.in.Lexicon) == 0 {
+				return fmt.Errorf("%w: title workload needs a seed lexicon", ErrNoSeed)
+			}
+			discover = seed.NewTitleMatcher(st.in.Lexicon, scfg).DiscoverTitleCandidates
+		}
 		var h hash.Hash
 		if cfg.Checkpoint != "" {
 			h = sha256.New()
 		}
 		var raw []seed.Candidate
 		docs := 0
-		consumeChunk := func(chunk []seed.Document) error {
+		if st.cache != nil {
+			// The reused prefix replays from the cache with no shard reads;
+			// the corpus stamp hash resumes from the cached mid-stream state.
+			if err := st.cache.replaySeed(h, func(e *shardCacheEntry) {
+				raw = append(raw, e.Raw...)
+				docs += e.Docs
+			}); err != nil {
+				return err
+			}
+		}
+		shardStart := len(raw)
+		n, err := st.walk(func(chunk []seed.Document) error {
 			if err := ctxErr(ctx); err != nil {
 				return err
 			}
@@ -509,60 +654,26 @@ func (p *Pipeline) RunSource(ctx context.Context, in Input) (res *Result, err er
 					h.Write([]byte{0})
 				}
 			}
-			if titleMatcher != nil {
-				raw = append(raw, titleMatcher.DiscoverTitleCandidates(chunk)...)
-			} else {
-				raw = append(raw, seed.DiscoverCandidates(chunk)...)
-			}
+			raw = append(raw, discover(chunk)...)
 			return nil
+		}, func(i int) {
+			st.cache.stage(i, append([]seed.Candidate(nil), raw[shardStart:]...), marshalHash(h))
+			shardStart = len(raw)
+		})
+		if err != nil {
+			return err
 		}
-		if cache != nil {
-			// Shard-granular streaming: replay the longest valid cached
-			// prefix (no disk reads of those shards at all — the corpus
-			// stamp hash resumes from the cached mid-stream state), then
-			// process the remaining shards live, staging each one's
-			// discovery output for the cache. Discovery is strictly
-			// per-document, so per-shard chunking yields the same candidate
-			// sequence as the layout-blind chunking below.
-			if err := cache.replaySeed(h, func(e *shardCacheEntry) {
-				raw = append(raw, e.Raw...)
-				docs += e.Docs
-			}); err != nil {
-				return err
-			}
-			if cache.prefix > 0 {
-				if err := ca.SeekShard(cache.prefix); err != nil {
-					return err
-				}
-			}
-			infos := ca.ShardInfos()
-			for i := cache.prefix; i < len(infos); i++ {
-				start := len(raw)
-				if err := readShardDocs(src, infos[i].Pages, consumeChunk); err != nil {
-					return err
-				}
-				docs += infos[i].Pages
-				cache.stage(i, infos[i].Pages, append([]seed.Candidate(nil), raw[start:]...), marshalHash(h))
-			}
-		} else {
-			n, err := corpus.ForEachChunk(src, prepChunk, func(chunk []seed.Document, _ int) error {
-				return consumeChunk(chunk)
-			})
-			if err != nil {
-				return err
-			}
-			docs = n
-		}
+		docs += n
 		if docs == 0 {
 			return ErrNoDocuments
 		}
-		stamp.Documents = docs
+		st.ident.stamp.Documents = docs
 		if h != nil {
-			stamp.SHA256 = hex.EncodeToString(h.Sum(nil))
+			st.ident.stamp.SHA256 = hex.EncodeToString(h.Sum(nil))
 		}
 		rec.Set("corpus.documents", float64(docs))
 		if len(raw) == 0 {
-			if wk == workload.Title {
+			if st.wk == workload.Title {
 				return fmt.Errorf("%w: no lexicon value occurs in any title", ErrNoSeed)
 			}
 			return fmt.Errorf("%w: no dictionary tables found", ErrNoSeed)
@@ -570,8 +681,8 @@ func (p *Pipeline) RunSource(ctx context.Context, in Input) (res *Result, err er
 		rec.Add("seed.raw_candidates", int64(len(raw)))
 		rec.Add("seed.tables_hit", int64(docsWithTables(raw)))
 		agg, rep := seed.AggregateAttributes(raw, scfg)
-		clean = seed.CleanValues(agg, in.Queries, scfg)
-		complete = clean
+		clean := seed.CleanValues(agg, st.in.Queries, scfg)
+		complete := clean
 		if !cfg.DisableDiversification {
 			complete = seed.Diversify(clean, agg, scfg)
 			rec.Add("seed.diversification_adds", int64(len(complete)-len(clean)))
@@ -587,50 +698,46 @@ func (p *Pipeline) RunSource(ctx context.Context, in Input) (res *Result, err er
 		if len(complete) == 0 {
 			return fmt.Errorf("%w: seed empty after cleaning/filtering", ErrNoSeed)
 		}
+		st.complete = complete
 		res.RawCandidates = raw
 		res.AttrRep = rep
+		res.SeedPairs = seed.Pairs(complete)
+		res.Attributes = attributeNames(complete)
+		for _, cand := range clean {
+			if cand.DocID != "" {
+				res.SeedTriples = append(res.SeedTriples, triples.Triple{
+					ProductID: cand.DocID, Attribute: cand.Attr, Value: cand.Value,
+				})
+			}
+		}
+		res.SeedTriples = triples.Dedup(res.SeedTriples)
+		if !cfg.DisableSyntacticCleaning {
+			// The per-triple veto rules also screen the seed: a markup
+			// fragment or symbol that many merchants paste into the same
+			// table cell is frequent enough to survive value cleaning, and
+			// without this check it would be labeled into every training
+			// iteration. The popularity rule is skipped — seed entities are
+			// already frequency-filtered.
+			veto := cfg.Veto
+			veto.PopularFraction = 1
+			res.SeedTriples, _ = cleaning.ApplyVetoFor(st.wk, res.SeedTriples, veto)
+		}
 		return nil
 	}); err != nil {
-		seedSpan.EndStatus(spanStatus(err), err)
-		res.StopReason = StopReason{Stage: faultinject.StageSeed, Err: err}
-		return res, err
+		return err
 	}
-	res.SeedPairs = seed.Pairs(complete)
-	res.Attributes = attributeNames(complete)
-	for _, cand := range clean {
-		if cand.DocID != "" {
-			res.SeedTriples = append(res.SeedTriples, triples.Triple{
-				ProductID: cand.DocID, Attribute: cand.Attr, Value: cand.Value,
-			})
-		}
-	}
-	res.SeedTriples = triples.Dedup(res.SeedTriples)
-	if !cfg.DisableSyntacticCleaning {
-		// The per-triple veto rules also screen the seed: a markup fragment
-		// or symbol that many merchants paste into the same table cell is
-		// frequent enough to survive value cleaning, and without this check
-		// it would be labeled into every training iteration. The popularity
-		// rule is skipped — seed entities are already frequency-filtered.
-		veto := cfg.Veto
-		veto.PopularFraction = 1
-		res.SeedTriples, _ = cleaning.ApplyVetoFor(wk, res.SeedTriples, veto)
-	}
-	seedSpan.End(nil)
-	ident.stamp = stamp
-	if contentAddressed && cfg.Checkpoint != "" {
+	if st.cache != nil {
 		// Only checkpointed content-addressed runs record corpus provenance:
 		// it bumps the bundle wire format, and one-shot runs must keep
 		// producing byte-identical artifacts.
 		res.corpusProv = bundle.CorpusProvenance{
-			Generation: ident.generation,
-			SHA256:     stamp.SHA256,
-			Documents:  stamp.Documents,
-			Shards:     len(ident.shardSHAs),
+			Generation: st.ident.generation,
+			SHA256:     st.ident.stamp.SHA256,
+			Documents:  st.ident.stamp.Documents,
+			Shards:     len(st.ident.shardSHAs),
 		}
-	}
-	if cache != nil {
-		res.ShardsReused = cache.prefix
-		res.ShardsRecomputed = len(ident.shardSHAs) - cache.prefix
+		res.ShardsReused = st.cache.prefix
+		res.ShardsRecomputed = len(st.ident.shardSHAs) - st.cache.prefix
 		rec.Set("corpus.shards_reused", float64(res.ShardsReused))
 		rec.Set("corpus.shards_recomputed", float64(res.ShardsRecomputed))
 		if res.ShardsReused > 0 {
@@ -644,107 +751,82 @@ func (p *Pipeline) RunSource(ctx context.Context, in Input) (res *Result, err er
 	rec.Info("seed complete",
 		"pairs", len(res.SeedPairs), "attributes", len(res.Attributes),
 		"seed_triples", len(res.SeedTriples))
+	return nil
+}
 
-	// Corpus preparation — the second pass over the Source: tokenize and
-	// PoS-tag every document exactly once (the result is what tagging,
-	// relabeling and the per-iteration word2vec retraining stream), then
-	// label the seed documents' sentences into the initial training set
-	// (Figure 1, line 5). Each chunk fans out over the worker pool and
-	// merges in document order, so the prepared corpus is identical for
-	// every Parallelism value and every shard geometry. With Config.Spill
-	// set, prepared sentences spill to bounded shards as they accumulate;
-	// only the seed documents' sentences (the training set) stay resident.
-	var dataset []tagger.Sequence
-	var prep prepared
-	defer func() {
-		if prep != nil {
-			prep.close()
-		}
-	}()
-	prepSpan := runSpan.Child(faultinject.StagePrep)
-	prepSpan.SetAttrInt("workers", int64(cfg.Parallelism))
-	pw, pwErr := newPrepWriter(cfg.Spill, cfg.SpillSentences, rec)
-	if pwErr != nil {
-		prepSpan.EndStatus(spanStatus(pwErr), pwErr)
-		res.StopReason = StopReason{Stage: faultinject.StagePrep, Err: pwErr}
-		return res, pwErr
-	}
-	if err := guard(inj, faultinject.StagePrep, func() error {
-		if err := src.Reset(); err != nil {
+// prepStage is corpus preparation, the second pass over the Source: it
+// tokenizes and PoS-tags every document exactly once (the result is what
+// tagging, relabeling and the per-iteration word2vec retraining stream), then
+// labels the seed documents' sentences into the initial training set
+// (Figure 1, line 5). Each chunk fans out over the worker pool and merges in
+// document order, so the prepared corpus is identical for every Parallelism
+// value and every shard geometry. With Config.Spill set, prepared sentences
+// spill to bounded shards as they accumulate; only the seed documents'
+// sentences (the training set) stay resident.
+func (st *runState) prepStage(ctx context.Context) error {
+	cfg, scfg, inj := st.cfg, st.cfg.Seed, st.cfg.FaultInjector
+	if err := st.stage(st.runSpan, faultinject.StagePrep, func(sp *obs.Span) error {
+		sp.SetAttrInt("workers", int64(cfg.Parallelism))
+		pw, err := newPrepWriter(cfg.Spill, cfg.SpillSentences, st.rec)
+		if err != nil {
 			return err
 		}
+		defer pw.abort() // a no-op once finish hands the spill to st.prep
 		seedDocs := make(map[string]bool)
-		for _, cand := range complete {
+		for _, cand := range st.complete {
 			if cand.DocID != "" {
 				seedDocs[cand.DocID] = true
 			}
 		}
 		var seedSents []seed.SentenceOf
+		add := func(ss []seed.SentenceOf) error {
+			for _, s := range ss {
+				if seedDocs[s.DocID] {
+					seedSents = append(seedSents, s)
+				}
+			}
+			return pw.add(ss)
+		}
+		if st.cache != nil {
+			// The reused prefix replays in identical corpus order, with no
+			// tokenization and no shard reads.
+			for i := 0; i < st.cache.prefix; i++ {
+				e := st.cache.load(i)
+				if e == nil {
+					return fmt.Errorf("pae: shard cache entry %d became unreadable mid-run", i)
+				}
+				if err := add(e.Sents); err != nil {
+					return err
+				}
+			}
+		}
+		// shardSents collects the current shard's sentences for its cache
+		// entry, committed once the walk has verified the shard.
+		var shardSents []seed.SentenceOf
 		perDoc := make([][]seed.SentenceOf, prepChunk)
-		// prepare tokenizes one chunk over the worker pool and streams its
-		// sentences, in document order, into the prep writer and (for seed
-		// documents) the initial training set. When collect is non-nil the
-		// chunk's sentences also accumulate there — the shard cache's copy.
-		prepare := func(chunk []seed.Document, collect *[]seed.SentenceOf) error {
+		if _, err := st.walk(func(chunk []seed.Document) error {
 			pd := perDoc[:len(chunk)]
 			if err := par.ForEach(ctx, cfg.Parallelism, len(chunk), func(i int) error {
 				if err := inj.Fire(faultinject.StagePrepWorker); err != nil {
 					return err
 				}
-				pd[i] = splitDoc(wk, chunk[i], scfg)
+				pd[i] = splitDoc(st.wk, chunk[i], scfg)
 				return nil
 			}); err != nil {
 				return err
 			}
-			for i, ss := range pd {
-				if seedDocs[chunk[i].ID] {
-					seedSents = append(seedSents, ss...)
+			for _, ss := range pd {
+				if st.cache != nil {
+					shardSents = append(shardSents, ss...)
 				}
-				if collect != nil {
-					*collect = append(*collect, ss...)
-				}
-				if err := pw.add(ss); err != nil {
+				if err := add(ss); err != nil {
 					return err
 				}
 			}
 			return nil
-		}
-		if cache != nil {
-			// Cached prefix first: the sentences replay from the cache in
-			// identical corpus order (no tokenization, no shard reads), then
-			// the remaining shards prepare live, each committing its cache
-			// entry for the next incremental run.
-			for i := 0; i < cache.prefix; i++ {
-				e := cache.load(i)
-				if e == nil {
-					return fmt.Errorf("pae: shard cache entry %d became unreadable mid-run", i)
-				}
-				for _, s := range e.Sents {
-					if seedDocs[s.DocID] {
-						seedSents = append(seedSents, s)
-					}
-				}
-				if err := pw.add(e.Sents); err != nil {
-					return err
-				}
-			}
-			if cache.prefix > 0 {
-				if err := ca.SeekShard(cache.prefix); err != nil {
-					return err
-				}
-			}
-			infos := ca.ShardInfos()
-			for i := cache.prefix; i < len(infos); i++ {
-				var shardSents []seed.SentenceOf
-				if err := readShardDocs(src, infos[i].Pages, func(chunk []seed.Document) error {
-					return prepare(chunk, &shardSents)
-				}); err != nil {
-					return err
-				}
-				cache.commit(i, shardSents)
-			}
-		} else if _, err := corpus.ForEachChunk(src, prepChunk, func(chunk []seed.Document, _ int) error {
-			return prepare(chunk, nil)
+		}, func(i int) {
+			st.cache.commit(i, shardSents)
+			shardSents = nil
 		}); err != nil {
 			return err
 		}
@@ -752,42 +834,41 @@ func (p *Pipeline) RunSource(ctx context.Context, in Input) (res *Result, err er
 		if err != nil {
 			return err
 		}
-		prep = pc
-		dataset, err = seed.LabelSentencesCtx(ctx, seedSents, complete, nil, scfg, cfg.Parallelism)
+		st.prep = pc
+		sp.SetAttrInt("sentences", int64(pc.count()))
+		st.dataset, err = seed.LabelSentencesCtx(ctx, seedSents, st.complete, nil, scfg, cfg.Parallelism)
 		return err
 	}); err != nil {
-		pw.abort()
-		prepSpan.EndStatus(spanStatus(err), err)
-		res.StopReason = StopReason{Stage: faultinject.StagePrep, Err: err}
-		return res, err
+		return err
 	}
-	prepSpan.SetAttrInt("sentences", int64(prep.count()))
-	prepSpan.End(nil)
-	rec.Set("corpus.sentences", float64(prep.count()))
+	st.rec.Set("corpus.sentences", float64(st.prep.count()))
+	return nil
+}
 
-	// Checkpoint/resume bookkeeping. Everything before this point is
-	// recomputed deterministically from the corpus, so a checkpoint only
-	// needs the iteration outputs.
-	fp := ""
-	if cfg.Checkpoint != "" {
-		fp = cfg.fingerprint()
+// loadStage is the checkpoint bookkeeping before the first cycle.
+// Everything before it is recomputed deterministically from the corpus, so
+// a checkpoint only carries iteration outputs: a resume replays the
+// checkpointed iterations and relabels from their last triples, a warm start
+// relabels from those triples merged with the new seed. It returns the first
+// iteration left to run.
+func (st *runState) loadStage(ctx context.Context) (int, error) {
+	cfg, res := st.cfg, st.res
+	if cfg.Checkpoint == "" || !(cfg.Resume || cfg.Incremental) {
+		return 1, nil
 	}
 	startIter := 1
-	if cfg.Checkpoint != "" && (cfg.Resume || cfg.Incremental) {
-		lsp := runSpan.Child("checkpoint.load")
-		lsp.SetAttr("dir", cfg.Checkpoint)
-		iters, grown, err := loadLatestCheckpoint(cfg.Checkpoint, fp, wk, ident, cfg.Incremental, rec)
+	err := st.stage(st.runSpan, "checkpoint.load", func(sp *obs.Span) error {
+		sp.SetAttr("dir", cfg.Checkpoint)
+		iters, grown, err := loadLatestCheckpoint(cfg.Checkpoint, st.fp, st.wk, st.ident, cfg.Incremental, st.rec)
 		if err == nil && grown && !cfg.Incremental {
 			err = fmt.Errorf("%w: the checkpoint in %s covers a shard-prefix of this %d-shard corpus (generation %d); enable incremental mode to re-bootstrap from it, or point the run at a fresh checkpoint directory",
-				ErrCorpusGrown, cfg.Checkpoint, len(ident.shardSHAs), ident.generation)
+				ErrCorpusGrown, cfg.Checkpoint, len(st.ident.shardSHAs), st.ident.generation)
 		}
-		if err != nil {
-			lsp.EndStatus(spanStatus(err), err)
-			res.StopReason = StopReason{Stage: faultinject.StageCheckpoint, Err: err}
-			return res, err
+		if err != nil || len(iters) == 0 {
+			return err
 		}
-		switch {
-		case grown && len(iters) > 0:
+		labels := iters[len(iters)-1].Triples
+		if grown {
 			// Warm start: the corpus grew by append since the checkpoint.
 			// The bootstrap reruns every iteration over the full grown
 			// corpus, but its initial training set is relabeled from the
@@ -795,61 +876,42 @@ func (p *Pipeline) RunSource(ctx context.Context, in Input) (res *Result, err er
 			// the new documents enter iteration 1 already labeled by
 			// everything the previous run learned.
 			res.WarmStart = true
-			warm := triples.Dedup(append(append([]triples.Triple(nil), res.SeedTriples...),
-				iters[len(iters)-1].Triples...))
-			ds, err := relabel(ctx, prep, warm, scfg, cfg.Parallelism)
-			if err != nil {
-				res.StopReason = StopReason{Stage: faultinject.StageCheckpoint, Err: wrapCancel(err)}
-				lsp.EndStatus(spanStatus(res.StopReason.Err), res.StopReason.Err)
-				return res, res.StopReason.Err
-			}
-			dataset = ds
-			lsp.SetAttr("mode", "warm-start")
-			lsp.SetAttrInt("warm_triples", int64(len(warm)))
-			lsp.End(nil)
-			rec.Info("incremental warm start from grown-corpus checkpoint",
-				"dir", cfg.Checkpoint, "checkpointed_iterations", len(iters),
-				"warm_triples", len(warm))
-		case len(iters) > 0:
+			labels = triples.Dedup(append(append([]triples.Triple(nil), res.SeedTriples...), labels...))
+		} else {
 			res.Iterations = iters
 			startIter = iters[len(iters)-1].Iteration + 1
-			ds, err := relabel(ctx, prep, iters[len(iters)-1].Triples, scfg, cfg.Parallelism)
-			if err != nil {
-				res.StopReason = StopReason{Stage: faultinject.StageCheckpoint, Err: wrapCancel(err)}
-				lsp.EndStatus(spanStatus(res.StopReason.Err), res.StopReason.Err)
-				return res, res.StopReason.Err
-			}
-			dataset = ds
-			lsp.SetAttrInt("resumed_iterations", int64(len(iters)))
-			lsp.End(nil)
-			rec.Info("resumed from checkpoint",
+		}
+		ds, err := relabel(ctx, st.prep, labels, cfg.Seed, cfg.Parallelism)
+		if err != nil {
+			return err
+		}
+		st.dataset = ds
+		if grown {
+			sp.SetAttr("mode", "warm-start")
+			sp.SetAttrInt("warm_triples", int64(len(labels)))
+			st.rec.Info("incremental warm start from grown-corpus checkpoint",
+				"dir", cfg.Checkpoint, "checkpointed_iterations", len(iters),
+				"warm_triples", len(labels))
+		} else {
+			sp.SetAttrInt("resumed_iterations", int64(len(iters)))
+			st.rec.Info("resumed from checkpoint",
 				"dir", cfg.Checkpoint, "completed_iterations", len(iters))
-		default:
-			lsp.End(nil)
 		}
-	}
-
-	// Tagger–Cleaner cycle (Figure 1, lines 8–22). Each stage runs behind a
-	// guard: a panic or injected fault is converted to a typed error that
-	// stops the loop with the cause recorded, never crossing pae.Run.
-	st := &runState{
-		res: res, rec: rec, runSpan: runSpan,
-		dataset: dataset, prep: prep, fp: fp, ident: ident,
-	}
-	for iter := startIter; iter <= cfg.Iterations; iter++ {
-		if stop := p.runIteration(ctx, cfg, iter, st); stop {
-			break
-		}
-	}
-	return res, nil
+		return nil
+	})
+	return startIter, err
 }
 
-// runIteration executes one Tagger–Cleaner cycle under its own span. It
-// returns true when the bootstrap must stop; the cause is then already
-// recorded in res.StopReason. Every stage span — and the iteration span —
-// is closed on all paths, including contained panics and cancellations.
-func (p *Pipeline) runIteration(ctx context.Context, cfg Config, iter int, st *runState) bool {
-	res, rec, inj := st.res, st.rec, cfg.FaultInjector
+// iteration executes one Tagger–Cleaner cycle (Figure 1, lines 8–22) under
+// its own span. It returns true when the bootstrap must stop; the cause is
+// then already recorded in res.StopReason. Each stage runs behind a guard: a
+// panic or injected fault becomes a typed error that stops the loop with
+// the cause recorded, never crossing pae.Run. Every stage span — and the
+// iteration span — is closed on all paths, including contained panics and
+// cancellations.
+func (st *runState) iteration(ctx context.Context, iter int) bool {
+	cfg, res, rec := st.cfg, st.res, st.rec
+	st.iter = iter
 	if err := ctxErr(ctx); err != nil {
 		res.StopReason = StopReason{Stage: "iteration", Iteration: iter, Err: err}
 		return true
@@ -869,20 +931,14 @@ func (p *Pipeline) runIteration(ctx context.Context, cfg Config, iter int, st *r
 	isp.SetAttrInt("iteration", int64(iter))
 	var stopErr error
 	defer func() { isp.EndStatus(spanStatus(stopErr), stopErr) }()
-	fail := func(stage string, err error) bool {
-		stopErr = err
-		res.StopReason = StopReason{Stage: stage, Iteration: iter, Err: err}
-		rec.Warn("iteration aborted", "iteration", iter, "stage", stage, "err", err)
-		return true
-	}
-	// stage wraps one guarded pipeline stage in a child span whose close
-	// status mirrors the guard's outcome (ok / error / panic / canceled);
-	// the span is handed to fn so stages can attach attributes (worker
-	// counts, batch sizes) without racing the close.
+	// stage runs one of this cycle's stages under the iteration span; a
+	// failure also closes the iteration span with its cause.
 	stage := func(name string, fn func(sp *obs.Span) error) error {
-		sp := isp.Child(name)
-		err := guard(inj, name, func() error { return fn(sp) })
-		sp.EndStatus(spanStatus(err), err)
+		err := st.stage(isp, name, fn)
+		if err != nil {
+			stopErr = err
+			rec.Warn("iteration aborted", "iteration", iter, "stage", name, "err", err)
+		}
 		return err
 	}
 
@@ -896,14 +952,14 @@ func (p *Pipeline) runIteration(ctx context.Context, cfg Config, iter int, st *r
 			}
 			sp.SetAttrInt("batch", int64(batch))
 		}
-		m, err := p.train(ctx, cfg, st.dataset, uint64(iter))
+		m, err := train(ctx, cfg, st.dataset, uint64(iter))
 		if err != nil {
 			return err
 		}
 		model = m
 		return nil
 	}); err != nil {
-		return fail(faultinject.StageTrain, err)
+		return true
 	}
 
 	var tagged []triples.Triple
@@ -919,7 +975,7 @@ func (p *Pipeline) runIteration(ctx context.Context, cfg Config, iter int, st *r
 			Model:         model,
 			MinConfidence: cfg.MinConfidence,
 			Workers:       cfg.Parallelism,
-			Inject:        inj,
+			Inject:        cfg.FaultInjector,
 		}
 		if err := st.prep.forEach(func(batch []seed.SentenceOf) error {
 			ts, err := eng.TagSentences(ctx, batch)
@@ -938,7 +994,7 @@ func (p *Pipeline) runIteration(ctx context.Context, cfg Config, iter int, st *r
 		tagged = triples.Dedup(tagged)
 		return nil
 	}); err != nil {
-		return fail(faultinject.StageTag, err)
+		return true
 	}
 	rec.Add("tag.spans", int64(len(tagged)))
 	rec.SeriesAdd(obs.SeriesTagged, iter, float64(len(tagged)))
@@ -955,7 +1011,7 @@ func (p *Pipeline) runIteration(ctx context.Context, cfg Config, iter int, st *r
 			kept, ir.Veto = cleaning.ApplyVetoFor(cfg.Workload, kept, cfg.Veto)
 			return nil
 		}); err != nil {
-			return fail(faultinject.StageVeto, err)
+			return true
 		}
 		rec.Add("veto.killed.symbol", int64(ir.Veto.Symbol))
 		rec.Add("veto.killed.markup", int64(ir.Veto.Markup))
@@ -969,7 +1025,7 @@ func (p *Pipeline) runIteration(ctx context.Context, cfg Config, iter int, st *r
 			kept, ir.SemanticRemoved, err = cleaning.SemanticCleanStream(kept, corpusTokenStream(st.prep), cfg.Semantic)
 			return err
 		}); err != nil {
-			return fail(faultinject.StageSemantic, err)
+			return true
 		}
 		rec.Add("semantic.killed", int64(ir.SemanticRemoved))
 	}
@@ -982,7 +1038,7 @@ func (p *Pipeline) runIteration(ctx context.Context, cfg Config, iter int, st *r
 			current = cfg.Oracle(current)
 			return nil
 		}); err != nil {
-			return fail(faultinject.StageOracle, err)
+			return true
 		}
 		rec.Add("oracle.removed", int64(before-len(current)))
 		rec.SeriesAdd(obs.SeriesOracleRemoved, iter, float64(before-len(current)))
@@ -999,19 +1055,17 @@ func (p *Pipeline) runIteration(ctx context.Context, cfg Config, iter int, st *r
 		"triples", len(current))
 
 	if cfg.Checkpoint != "" {
-		// A checkpoint failure must not kill a healthy run: record it
-		// on the iteration and keep going (resume will fall back to the
-		// previous checkpoint).
-		csp := isp.Child(faultinject.StageCheckpoint)
+		// A checkpoint failure must not kill a healthy run: it is contained
+		// (inSpan, not stage), recorded on the iteration, and the run keeps
+		// going (resume will fall back to the previous checkpoint).
 		var ckptBytes int64
-		err := guard(inj, faultinject.StageCheckpoint, func() error {
+		err := inSpan(isp, cfg.FaultInjector, faultinject.StageCheckpoint, func(sp *obs.Span) error {
+			sp.SetAttr("path", checkpointPath(cfg.Checkpoint, iter))
 			n, err := saveCheckpoint(cfg.Checkpoint, st.fp, cfg.Workload, st.ident, res.Iterations, model)
 			ckptBytes = n
+			sp.SetAttrInt("bytes", n)
 			return err
 		})
-		csp.SetAttr("path", checkpointPath(cfg.Checkpoint, iter))
-		csp.SetAttrInt("bytes", ckptBytes)
-		csp.EndStatus(spanStatus(err), err)
 		if err != nil {
 			last := &res.Iterations[len(res.Iterations)-1]
 			last.Errors = append(last.Errors, err.Error())
@@ -1036,7 +1090,7 @@ func (p *Pipeline) runIteration(ctx context.Context, cfg Config, iter int, st *r
 		st.dataset = ds
 		return nil
 	}); err != nil {
-		return fail("relabel", err)
+		return true
 	}
 
 	if cfg.OnIteration != nil {
@@ -1049,7 +1103,7 @@ func (p *Pipeline) runIteration(ctx context.Context, cfg Config, iter int, st *r
 // context, the fault injector and the telemetry recorder into the model
 // trainers. The iteration index perturbs the RNN seed so retrainings across
 // cycles are independent, while staying deterministic for the whole run.
-func (p *Pipeline) train(ctx context.Context, cfg Config, dataset []tagger.Sequence, iter uint64) (tagger.Model, error) {
+func train(ctx context.Context, cfg Config, dataset []tagger.Sequence, iter uint64) (tagger.Model, error) {
 	inj := cfg.FaultInjector
 	scope := fmt.Sprintf("iter%02d", iter)
 	trainRNN := func() (tagger.Model, error) {

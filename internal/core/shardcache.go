@@ -180,10 +180,10 @@ func (c *shardCache) replaySeed(h hash.Hash, consume func(*shardCacheEntry)) err
 
 // stage records the seed-pass half of a fresh shard's entry; commit writes
 // the whole entry once the prep pass has its sentences.
-func (c *shardCache) stage(i int, docs int, raw []seed.Candidate, hashState []byte) {
+func (c *shardCache) stage(i int, raw []seed.Candidate, hashState []byte) {
 	c.staged[i] = &shardCacheEntry{
 		Key: c.key, Index: i, ShardSHA: c.infos[i].SHA256,
-		Docs: docs, Raw: raw, HashState: hashState,
+		Docs: c.infos[i].Pages, Raw: raw, HashState: hashState,
 	}
 }
 
@@ -246,33 +246,4 @@ func marshalHash(h hash.Hash) []byte {
 		return nil
 	}
 	return b
-}
-
-// readShardDocs pulls exactly pages documents — one content shard — off the
-// source in prepChunk-bounded chunks, preserving corpus order. The chunk
-// slice is reused; fn must not retain it.
-func readShardDocs(src corpus.Source, pages int, fn func(chunk []seed.Document) error) error {
-	chunk := make([]seed.Document, 0, prepChunk)
-	for pages > 0 {
-		n := prepChunk
-		if pages < n {
-			n = pages
-		}
-		chunk = chunk[:0]
-		for len(chunk) < n {
-			d, err := src.Next()
-			if err == io.EOF {
-				return fmt.Errorf("%w: source ended %d pages short of its shard geometry", corpus.ErrCorrupt, pages-len(chunk))
-			}
-			if err != nil {
-				return err
-			}
-			chunk = append(chunk, d)
-		}
-		if err := fn(chunk); err != nil {
-			return err
-		}
-		pages -= n
-	}
-	return nil
 }

@@ -1,14 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/faultinject"
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/seed"
@@ -259,4 +263,155 @@ func TestResumeRejectsDifferentCorpus(t *testing.T) {
 			t.Fatalf("no-op resume: %s", res.Describe())
 		}
 	})
+}
+
+// TestCorpusWalkFinishesEveryShard: with and without a checkpoint, and with
+// a checkpoint whose shard cache covers a prefix of the corpus, the bootstrap
+// reads each shard it does not reuse to its end in both corpus passes. So
+// corpus.bytes_read is exactly two passes over those shards, no corpus.shard
+// span is left open, and a final shard tampered after write (valid JSON,
+// same page count) fails the run with ErrFingerprint in every mode, without
+// its work ever reaching the shard cache.
+func TestCorpusWalkFinishesEveryShard(t *testing.T) {
+	gc := gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 60})
+	type mode struct {
+		name       string
+		checkpoint bool
+		// grow checkpoints the 3-shard corpus, then appends a fourth shard,
+		// so the measured run reuses a 3-shard cached prefix.
+		grow bool
+	}
+	modes := []mode{
+		{"no checkpoint", false, false},
+		{"fresh checkpoint", true, false},
+		{"reused prefix", true, true},
+	}
+
+	run := func(dir, ckpt string) (*Result, *obs.Report, error) {
+		cfg := fastConfig()
+		cfg.Iterations = 1
+		cfg.Checkpoint = ckpt
+		rec := obs.New(obs.Options{})
+		cfg.Obs = rec
+		src := openSource(t, dir)
+		defer src.Close()
+		res, err := New(cfg).RunSource(context.Background(),
+			Input{Source: src, Queries: gc.Queries, Lang: gc.Lang})
+		return res, rec.Snapshot(), err
+	}
+	// setup writes the corpus for one mode and returns its directory, the
+	// checkpoint directory ("" without one) and the number of leading shards
+	// the measured run will take from the cache.
+	setup := func(t *testing.T, m mode) (dir, ckpt string, reused int) {
+		dir = shardGenCorpus(t, gc, 20) // 3 shards
+		if !m.checkpoint {
+			return dir, "", 0
+		}
+		ckpt = t.TempDir()
+		if !m.grow {
+			return dir, ckpt, 0
+		}
+		if _, _, err := run(dir, ckpt); err != nil {
+			t.Fatal(err)
+		}
+		appendGenPages(t, dir, 77, 20)
+		return dir, ckpt, 3
+	}
+
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			dir, ckpt, reused := setup(t, m)
+			man, err := corpus.ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, rep, err := run(dir, ckpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ShardsReused != reused {
+				t.Fatalf("reused %d shards, want %d", res.ShardsReused, reused)
+			}
+			var want int64
+			for _, s := range man.Shards[reused:] {
+				want += 2 * s.Bytes
+			}
+			if got := rep.Counters["corpus.bytes_read"]; got != want {
+				t.Fatalf("corpus.bytes_read = %d, want %d (two passes over shards %d..%d)",
+					got, want, reused, len(man.Shards)-1)
+			}
+			if open := rep.OpenSpans(); len(open) != 0 {
+				t.Fatalf("open spans after the run: %v", open)
+			}
+		})
+		t.Run(m.name+"/tampered final shard", func(t *testing.T) {
+			dir, ckpt, _ := setup(t, m)
+			man, err := corpus.ReadManifest(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := len(man.Shards) - 1
+			tamperFirstPage(t, filepath.Join(dir, man.Shards[last].File))
+			_, rep, err := run(dir, ckpt)
+			if !errors.Is(err, corpus.ErrFingerprint) {
+				t.Fatalf("got %v, want ErrFingerprint", err)
+			}
+			if open := rep.OpenSpans(); len(open) != 0 {
+				t.Fatalf("open spans after the failed run: %v", open)
+			}
+			if ckpt != "" {
+				entry := filepath.Join(ckpt, shardCacheDir, fmt.Sprintf("shard-%04d.gob", last))
+				if _, err := os.Stat(entry); !os.IsNotExist(err) {
+					t.Fatalf("tampered shard %d reached the shard cache (stat: %v)", last, err)
+				}
+			}
+		})
+	}
+}
+
+// TestInterruptedWalkClosesShardSpan: a corpus pass that fails mid-shard
+// still leaves no corpus.shard span open once RunSource returns.
+func TestInterruptedWalkClosesShardSpan(t *testing.T) {
+	gc := gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 150})
+	dir := shardGenCorpus(t, gc, 100) // the first prep chunk ends inside shard 0
+	cfg := fastConfig()
+	cfg.FaultInjector = faultinject.New(
+		faultinject.Fault{Stage: faultinject.StagePrepWorker, Call: 1, Kind: faultinject.Error})
+	rec := obs.New(obs.Options{})
+	cfg.Obs = rec
+	src := openSource(t, dir)
+	defer src.Close()
+	_, err := New(cfg).RunSource(context.Background(),
+		Input{Source: src, Queries: gc.Queries, Lang: gc.Lang})
+	if !errors.Is(err, faultinject.ErrInjected) {
+		t.Fatalf("got %v, want the injected prep fault", err)
+	}
+	if open := rec.Snapshot().OpenSpans(); len(open) != 0 {
+		t.Fatalf("open spans after the failed run: %v", open)
+	}
+}
+
+// tamperFirstPage rewrites the first page of a shard file in place with a
+// changed HTML body: the shard stays valid JSON with the same page count, so
+// only its fingerprint can tell.
+func tamperFirstPage(t *testing.T, path string) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfterN(raw, []byte("\n"), 2)
+	var page map[string]string
+	if err := json.Unmarshal(lines[0], &page); err != nil {
+		t.Fatal(err)
+	}
+	page["html"] += "<!-- tampered -->"
+	first, err := json.Marshal(page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append(append(first, '\n'), lines[1]...)
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -8,10 +8,9 @@
 //
 //   - SliceSource wraps an in-memory []seed.Document, keeping the public
 //     pae.Run API (and every existing test) unchanged.
-//   - Reader opens an on-disk corpus directory in either of two layouts: the
-//     schema-versioned sharded format this package defines (below), or the
-//     legacy flat layout (manifest.json + one HTML file per page) the early
-//     paegen wrote.
+//   - Reader opens an on-disk corpus directory in the schema-versioned
+//     sharded format this package defines (below) and streams it through
+//     DirSource.
 //
 // # Sharded corpus format
 //
@@ -56,8 +55,8 @@ const SchemaVersion = 1
 
 // Typed failure sentinels; match with errors.Is.
 var (
-	// ErrNotCorpus: the directory holds neither a sharded corpus
-	// (corpus.json) nor a legacy flat corpus (manifest.json).
+	// ErrNotCorpus: the directory holds no sharded corpus (no corpus.json
+	// manifest).
 	ErrNotCorpus = errors.New("corpus: not a corpus directory")
 	// ErrSchemaVersion: the manifest's schema version is not the one this
 	// binary supports.
@@ -101,19 +100,12 @@ type Source interface {
 	Close() error
 }
 
-// Sharded is the optional interface of sources backed by a sharded on-disk
-// corpus. The bootstrap records the shard count in its checkpoints (the
-// cursor of a fully consumed pass), so a resume can verify it is reading the
-// same corpus geometry it checkpointed under.
-type Sharded interface {
-	Shards() int
-}
-
 // ContentAddressed is the optional interface of sources whose pages live in
 // immutable content-addressed shards (DirSource over a sharded corpus). The
-// incremental bootstrap uses it three ways: the per-shard SHA-256s key the
-// reusable prep/seed cache and are stamped into checkpoints, Generation names
-// the corpus state in checkpoints and bundles, and SeekShard skips the shard
+// bootstrap uses it four ways: the shard count guards resumes against a
+// different corpus geometry, the per-shard SHA-256s key the reusable
+// prep/seed cache and are stamped into checkpoints, Generation names the
+// corpus state in checkpoints and bundles, and SeekShard skips the shard
 // prefix whose work was reused.
 type ContentAddressed interface {
 	ShardInfos() []ShardInfo

@@ -110,8 +110,8 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 		t.Fatal("stream after Reset differs from first pass")
 	}
 
-	if sh, ok := src.(Sharded); !ok || sh.Shards() != 4 {
-		t.Fatalf("Sharded: ok=%v", ok)
+	if ca, ok := src.(ContentAddressed); !ok || len(ca.ShardInfos()) != 4 {
+		t.Fatalf("ContentAddressed: ok=%v", ok)
 	}
 
 	gotTruth, err := r.Truth()
@@ -172,6 +172,21 @@ func TestShardedFilesDeterministic(t *testing.T) {
 func TestOpenNotCorpus(t *testing.T) {
 	if _, err := Open(t.TempDir()); !errors.Is(err, ErrNotCorpus) {
 		t.Fatalf("empty dir: got %v, want ErrNotCorpus", err)
+	}
+	// A directory in the retired flat layout (manifest.json plus one HTML
+	// file per page) is not a corpus either.
+	flat := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(flat, "pages"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(flat, "pages", "p000.html"), []byte("<p>x</p>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(flat, "manifest.json"), []byte(`{"category":"c","lang":"ja","pages":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(flat); !errors.Is(err, ErrNotCorpus) {
+		t.Fatalf("flat dir: got %v, want ErrNotCorpus", err)
 	}
 }
 
@@ -288,49 +303,6 @@ func TestCorruptShard(t *testing.T) {
 			t.Fatalf("got %v, want ErrCorrupt", err)
 		}
 	})
-}
-
-// TestFlatLayoutRead: the legacy one-file-per-page layout streams through the
-// same Reader, pages in sorted file-name order, truth read from either the
-// embedded manifest list or the sidecar.
-func TestFlatLayoutRead(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, "pages"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	docs := testDocs(4)
-	for _, d := range docs {
-		if err := os.WriteFile(filepath.Join(dir, "pages", d.ID+".html"), []byte(d.HTML), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lm := map[string]any{
-		"category": "flat-cat", "lang": "de", "pages": len(docs),
-		"queries": []string{"q"},
-		"aliases": map[string]string{},
-		"truth":   []gen.TruthTriple{{ProductID: "p000", Attribute: "a", Value: "v", Correct: true}},
-	}
-	raw, _ := json.Marshal(lm)
-	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Flat() || r.Manifest.Name != "flat-cat" || r.Manifest.Pages != 4 {
-		t.Fatalf("flat manifest: %+v", r.Manifest)
-	}
-	src := r.Source()
-	defer src.Close()
-	if got := drain(t, src); !reflect.DeepEqual(got, docs) {
-		t.Fatal("flat layout streams a different document sequence")
-	}
-	truth, err := r.Truth()
-	if err != nil || len(truth) != 1 {
-		t.Fatalf("embedded truth: %v %v", truth, err)
-	}
 }
 
 func TestForEachChunkBoundaries(t *testing.T) {

@@ -19,30 +19,13 @@ import (
 	"repro/internal/seed"
 )
 
-// legacyManifest is the flat layout's sidecar (the early paegen format).
-// Truth may be embedded (oldest corpora) or live in the truth.jsonl sidecar.
-type legacyManifest struct {
-	Category string            `json:"category"`
-	Lang     string            `json:"lang"`
-	Pages    int               `json:"pages"`
-	Queries  []string          `json:"queries"`
-	Aliases  map[string]string `json:"aliases"`
-	Truth    []gen.TruthTriple `json:"truth"`
-}
-
-// Reader opens an on-disk corpus directory — sharded (corpus.json) or legacy
-// flat (manifest.json + pages/*.html) — and presents one normalized view:
-// a Manifest, a streaming Source, and the truth judgments. Page bodies are
-// never loaded eagerly; Source streams them.
+// Reader opens an on-disk sharded corpus directory and presents one view of
+// it: the Manifest, a streaming Source, and the truth judgments. Page bodies
+// are never loaded eagerly; Source streams them.
 type Reader struct {
-	dir  string
-	flat bool
-	// Manifest is the normalized corpus metadata. For flat corpora the
-	// shard list is empty and Pages is the HTML file count.
+	dir string
+	// Manifest is the corpus metadata.
 	Manifest Manifest
-
-	flatPages     []string          // sorted page file names (flat layout)
-	truthEmbedded []gen.TruthTriple // oldest flat manifests carry truth inline
 }
 
 // ReadManifest reads and validates the sharded manifest of dir without
@@ -72,78 +55,23 @@ func IsDir(dir string) bool {
 	return err == nil
 }
 
-// Open opens a corpus directory in either layout. It validates manifests but
-// reads no page bodies; those stream through Source.
+// Open opens a sharded corpus directory. It validates the manifest but reads
+// no page bodies; those stream through Source.
 func Open(dir string) (*Reader, error) {
-	if IsDir(dir) {
-		m, err := ReadManifest(dir)
-		if err != nil {
-			return nil, err
-		}
-		return &Reader{dir: dir, Manifest: *m}, nil
-	}
-	raw, err := os.ReadFile(filepath.Join(dir, legacyManifestFile))
+	m, err := ReadManifest(dir)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s has neither %s nor %s", ErrNotCorpus, dir, manifestFile, legacyManifestFile)
-		}
 		return nil, err
 	}
-	var lm legacyManifest
-	if err := json.Unmarshal(raw, &lm); err != nil {
-		return nil, fmt.Errorf("%w: legacy manifest: %v", ErrCorrupt, err)
-	}
-	entries, err := os.ReadDir(filepath.Join(dir, pagesDir))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: legacy corpus %s has no %s directory", ErrCorrupt, dir, pagesDir)
-		}
-		return nil, err
-	}
-	var pages []string
-	for _, e := range entries {
-		if strings.HasSuffix(e.Name(), ".html") {
-			pages = append(pages, e.Name())
-		}
-	}
-	sort.Strings(pages)
-	r := &Reader{
-		dir:  dir,
-		flat: true,
-		Manifest: Manifest{
-			SchemaVersion: SchemaVersion,
-			Name:          lm.Category,
-			Lang:          lm.Lang,
-			Pages:         len(pages),
-			Queries:       lm.Queries,
-			Aliases:       lm.Aliases,
-			TruthCount:    len(lm.Truth),
-		},
-		flatPages:     pages,
-		truthEmbedded: lm.Truth,
-	}
-	if len(lm.Truth) == 0 {
-		if _, err := os.Stat(filepath.Join(dir, truthFile)); err == nil {
-			r.Manifest.TruthFile = truthFile
-		}
-	}
-	return r, nil
+	return &Reader{dir: dir, Manifest: *m}, nil
 }
-
-// Flat reports whether the corpus uses the legacy one-file-per-page layout.
-func (r *Reader) Flat() bool { return r.flat }
 
 // Orphans lists stray temp files a crashed writer left behind — manifest
 // temps (.corpus-*) in the corpus root and uncommitted shard temps
 // (shard-*.jsonl.tmp) in the shard directory — as paths relative to the
 // corpus directory, sorted. Orphans are harmless (Open and Source consult
 // only the manifest, which names none of them) but `paeinspect corpus
-// -verify` reports them so operators can clean up after a crash. Flat
-// corpora report none.
+// -verify` reports them so operators can clean up after a crash.
 func (r *Reader) Orphans() ([]string, error) {
-	if r.flat {
-		return nil, nil
-	}
 	var out []string
 	entries, err := os.ReadDir(r.dir)
 	if err != nil {
@@ -174,19 +102,12 @@ func (r *Reader) Orphans() ([]string, error) {
 // Source returns a fresh streaming Source over the corpus pages. Sources are
 // independent; each maintains its own cursor.
 func (r *Reader) Source() Source {
-	if r.flat {
-		return &flatSource{dir: r.dir, files: r.flatPages}
-	}
 	return &DirSource{dir: r.dir, manifest: r.Manifest}
 }
 
-// Truth returns the referee judgments: the embedded list for the oldest flat
-// corpora, otherwise the streamed truth.jsonl sidecar. A corpus without
-// truth returns (nil, nil).
+// Truth returns the referee judgments streamed from the truth.jsonl
+// sidecar. A corpus without truth returns (nil, nil).
 func (r *Reader) Truth() ([]gen.TruthTriple, error) {
-	if len(r.truthEmbedded) > 0 {
-		return r.truthEmbedded, nil
-	}
 	if r.Manifest.TruthFile == "" {
 		return nil, nil
 	}
@@ -274,9 +195,6 @@ func (s *DirSource) Instrument(rec *obs.Recorder, parent *obs.Span) {
 
 // Manifest returns the corpus manifest.
 func (s *DirSource) Manifest() Manifest { return s.manifest }
-
-// Shards returns the number of page shards (the Sharded interface).
-func (s *DirSource) Shards() int { return len(s.manifest.Shards) }
 
 // ShardInfos returns the manifest's per-shard records — the content
 // addresses the incremental bootstrap keys its shard cache on (the
@@ -415,35 +333,3 @@ func (s *DirSource) Close() error {
 	s.closeShard(nil)
 	return nil
 }
-
-// flatSource streams the legacy one-file-per-page layout, reading one HTML
-// file per Next call in sorted file-name order — exactly the order the old
-// eager loader produced.
-type flatSource struct {
-	dir   string
-	files []string
-	i     int
-
-	rec *obs.Recorder
-}
-
-func (s *flatSource) Instrument(rec *obs.Recorder, _ *obs.Span) { s.rec = rec }
-
-func (s *flatSource) Next() (seed.Document, error) {
-	if s.i >= len(s.files) {
-		return seed.Document{}, io.EOF
-	}
-	name := s.files[s.i]
-	s.i++
-	raw, err := os.ReadFile(filepath.Join(s.dir, pagesDir, name))
-	if err != nil {
-		return seed.Document{}, fmt.Errorf("%w: read page: %v", ErrCorrupt, err)
-	}
-	if s.rec != nil {
-		s.rec.Add("corpus.bytes_read", int64(len(raw)))
-	}
-	return seed.Document{ID: strings.TrimSuffix(name, ".html"), HTML: string(raw)}, nil
-}
-
-func (s *flatSource) Reset() error { s.i = 0; return nil }
-func (s *flatSource) Close() error { return nil }

@@ -20,10 +20,6 @@ const (
 	manifestFile = "corpus.json"
 	truthFile    = "truth.jsonl"
 	shardDir     = "shards"
-	// legacyManifestFile is the flat layout's manifest (the early paegen
-	// format: one HTML file per page under pagesDir).
-	legacyManifestFile = "manifest.json"
-	pagesDir           = "pages"
 )
 
 // DefaultShardSize is the page count per shard when the writer is not told
