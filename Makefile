@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build test vet race bench-check fuzz profile bench-smoke fmt-check serve-smoke fleet-smoke corpus-smoke title-smoke loop-smoke clean
+.PHONY: verify build test vet race bench-check fuzz profile fmt-check serve-smoke fleet-smoke corpus-smoke title-smoke loop-smoke clean
 
 ## verify is the tier-1 gate: every PR must leave it green.
 verify: fmt-check vet build race bench-check
@@ -37,16 +37,6 @@ bench-check:
 profile:
 	$(GO) test -run='^$$' -bench='BenchmarkBootstrap(Noop|Live)Recorder' \
 		-benchtime=3x -cpuprofile=cpu.prof -memprofile=mem.prof .
-
-## bench-smoke is the benchmark trajectory harness at reduced scale: it runs
-## the micro-benchmarks of the parallel hot paths plus a measured table1
-## experiment and writes BENCH_smoke.json for comparison against the
-## checked-in BENCH_*.json files. Not part of the tier-1 verify gate —
-## wall-clock assertions don't belong in CI.
-bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkTagCorpus' -benchtime=3x ./internal/core
-	$(GO) test -run='^$$' -bench='BenchmarkBootstrap(Noop|Live)Recorder' -benchtime=1x .
-	$(GO) run ./cmd/paebench -exp table1 -items 90 -iterations 2 -benchjson BENCH_smoke.json
 
 ## fmt-check fails when any file is not gofmt-clean, printing the offenders.
 ## Part of the tier-1 verify gate: an unformatted tree fails the PR.
@@ -127,6 +117,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDiscoverCandidates -fuzztime=$(FUZZTIME) ./internal/seed
 	$(GO) test -run=^$$ -fuzz=FuzzTitleSeed -fuzztime=$(FUZZTIME) ./internal/seed
 	$(GO) test -run=^$$ -fuzz=FuzzLex -fuzztime=$(FUZZTIME) ./internal/htmlx
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeModel -fuzztime=$(FUZZTIME) ./internal/bundle
 
 clean:
 	$(GO) clean -testcache

@@ -1,15 +1,3 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation.
-// Each benchmark executes the corresponding experiment end to end (corpus
-// generation, bootstrap runs, judging) and reports the rendered artifact
-// size; the artifact text itself is what cmd/paebench prints.
-//
-// These are macro-benchmarks: one iteration is one full experiment, so
-// b.N is typically 1. Run them with:
-//
-//	go test -bench=. -benchmem
-//
-// and expect the full suite to take tens of minutes at the default scale —
-// the RNN configurations dominate. Use cmd/paebench to inspect the tables.
 package pae_test
 
 import (
@@ -17,59 +5,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crf"
-	"repro/internal/exp"
 	"repro/internal/gen"
 	"repro/internal/obs"
 	"repro/internal/seed"
 )
-
-// benchSettings uses a reduced scale so the whole suite stays tractable
-// inside `go test -bench=.`; cmd/paebench runs the default scale.
-var benchSettings = exp.Settings{Seed: 42, Items: 160, Iterations: 3}
-
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := exp.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		// Experiments memoise pipeline runs; clear between iterations so
-		// the benchmark measures real work, not cache hits.
-		exp.ClearCache()
-		out := e.Run(benchSettings)
-		if len(out) == 0 {
-			b.Fatal("experiment produced no output")
-		}
-		b.ReportMetric(float64(len(out)), "artifact-bytes")
-	}
-}
-
-func BenchmarkTableI(b *testing.B)            { runExperiment(b, "table1") }
-func BenchmarkFigure3(b *testing.B)           { runExperiment(b, "figure3") }
-func BenchmarkTableII(b *testing.B)           { runExperiment(b, "table2") }
-func BenchmarkTableIII(b *testing.B)          { runExperiment(b, "table3") }
-func BenchmarkFigure4(b *testing.B)           { runExperiment(b, "figure4") }
-func BenchmarkFigure5(b *testing.B)           { runExperiment(b, "figure5") }
-func BenchmarkFigure6(b *testing.B)           { runExperiment(b, "figure6") }
-func BenchmarkTableIV(b *testing.B)           { runExperiment(b, "table4") }
-func BenchmarkFigure7(b *testing.B)           { runExperiment(b, "figure7") }
-func BenchmarkFigure8(b *testing.B)           { runExperiment(b, "figure8") }
-func BenchmarkGerman(b *testing.B)            { runExperiment(b, "german") }
-func BenchmarkComplexAttributes(b *testing.B) { runExperiment(b, "complexattrs") }
-func BenchmarkSemanticCore(b *testing.B)      { runExperiment(b, "semcore") }
-func BenchmarkHeterogeneous(b *testing.B)     { runExperiment(b, "hetero") }
-func BenchmarkDiversification(b *testing.B)   { runExperiment(b, "diversification") }
-
-// Extension experiments (the paper's §VIII/§IX future work, implemented).
-
-func BenchmarkEnsemble(b *testing.B)       { runExperiment(b, "ensemble") }
-func BenchmarkConfidence(b *testing.B)     { runExperiment(b, "confidence") }
-func BenchmarkRecallAudit(b *testing.B)    { runExperiment(b, "recall") }
-func BenchmarkHomogenization(b *testing.B) { runExperiment(b, "homogenize") }
-func BenchmarkPartition(b *testing.B)      { runExperiment(b, "partition") }
-func BenchmarkHumanInTheLoop(b *testing.B) { runExperiment(b, "hitl") }
 
 // Observability-overhead benchmarks: the same bootstrap with the recorder
 // disabled (nil, the production default) and enabled. Compare with

@@ -4,13 +4,16 @@
 // Usage:
 //
 //	paebench -exp table1            # one experiment
-//	paebench -exp table1,serve      # several, comma-separated
+//	paebench -exp table1,title      # several, comma-separated
 //	paebench -exp all               # everything, in paper order
 //	paebench -list                  # list experiment ids
 //	paebench -exp table2 -items 300 -seed 7
 //	paebench -exp table2 -cpuprofile cpu.out -memprofile mem.out
 //	paebench -exp all -workers 4    # bound every worker pool at 4
-//	paebench -benchjson BENCH.json  # measured run, schema-versioned report
+//
+// Experiments run concurrently on the -workers bound and print in registry
+// order. paebench reports each experiment's wall clock but is not a
+// benchmark: perfbench (BENCHMARK.json) is.
 package main
 
 import (
@@ -34,8 +37,6 @@ func main() {
 		items      = flag.Int("items", 0, "items per category (0 = default)")
 		iters      = flag.Int("iterations", 0, "bootstrap iterations (0 = paper's 5)")
 		workers    = flag.Int("workers", 0, "worker-pool bound for generation, pipeline stages, and experiment fan-out (0 = one per CPU); never changes output")
-		benchjson  = flag.String("benchjson", "", "run experiments under measurement and write a schema-versioned benchmark report to this file")
-		note       = flag.String("note", "", "free-form annotation recorded in the -benchjson report's notes (e.g. a regression verdict)")
 		debugAddr  = flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the experiments to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile at exit to this file")
@@ -95,28 +96,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "no experiments selected; use -list\n")
 			os.Exit(2)
 		}
-	}
-
-	if *benchjson != "" {
-		// Measured mode: experiments run one at a time so wall clock and
-		// allocations are attributable; the worker pools inside each run are
-		// what the report measures.
-		rep, outputs := exp.RunBench(s, exps)
-		if *note != "" {
-			rep.Notes = append(rep.Notes, *note)
-		}
-		for i, e := range exps {
-			fmt.Printf("== %s: %s ==\n", e.ID, e.Title)
-			fmt.Println(outputs[i])
-			fmt.Printf("(%s in %.1fs)\n\n", e.ID, rep.Experiments[i].WallSeconds)
-		}
-		if err := rep.WriteJSON(*benchjson); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote benchmark report to %s (%.1fs total)\n",
-			*benchjson, rep.TotalWallSeconds)
-		return
 	}
 
 	// Experiments fan out on the same worker bound as the pools inside them;

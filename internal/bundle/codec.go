@@ -115,9 +115,15 @@ func DecodeModel(r io.Reader) (tagger.Model, error) {
 			if _, err := io.ReadFull(r, n[:]); err != nil {
 				return nil, fmt.Errorf("%w: ensemble member %d length: %v", ErrCorrupt, i, err)
 			}
-			payload := make([]byte, binary.BigEndian.Uint32(n[:]))
-			if _, err := io.ReadFull(r, payload); err != nil {
+			// The length prefix is untrusted: read through a limit instead of
+			// allocating it up front, so memory tracks the bytes that arrive.
+			want := int64(binary.BigEndian.Uint32(n[:]))
+			payload, err := io.ReadAll(io.LimitReader(r, want))
+			if err != nil {
 				return nil, fmt.Errorf("%w: ensemble member %d: %v", ErrCorrupt, i, err)
+			}
+			if int64(len(payload)) < want {
+				return nil, fmt.Errorf("%w: ensemble member %d: %d of %d bytes", ErrCorrupt, i, len(payload), want)
 			}
 			member, err := DecodeModel(bytes.NewReader(payload))
 			if err != nil {

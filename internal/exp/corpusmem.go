@@ -3,9 +3,7 @@
 // and 2× corpus size, once through the in-memory API and once streamed from
 // sharded disk with the prepared-corpus spill enabled, while a sampler
 // tracks the peak live heap. Streaming keeps the peak roughly flat as the
-// corpus doubles; the in-memory path grows with it. Under `paebench
-// -benchjson` the peaks land in the report metrics (BENCH_5.json records
-// the trajectory).
+// corpus doubles; the in-memory path grows with it.
 
 package exp
 
@@ -22,12 +20,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/seed"
 )
-
-func init() {
-	Experiments = append(Experiments, Experiment{
-		"corpusmem", "corpus memory — peak heap: in-memory vs streamed+spilled bootstrap", CorpusMemory,
-	})
-}
 
 // peakSampler polls the live heap while a run executes and keeps the
 // maximum. Sampling (not instrumentation) keeps the measured code path
@@ -146,7 +138,6 @@ func CorpusMemory(s Settings) string {
 			}()
 			t.addRow(fmt.Sprintf("streamed, %d-sentence spill shards %dx", spillSents, scale),
 				fmt.Sprintf("%d", pages), mib(streamed))
-			RecordMetric(fmt.Sprintf("corpusmem.streamed_s%d_peak_bytes_%dx", spillSents, scale), float64(streamed))
 		}
 
 		// In-memory: the classic pae.Run path over a document slice. The
@@ -177,7 +168,6 @@ func CorpusMemory(s Settings) string {
 			return sampler.delta()
 		}()
 		t.addRow(fmt.Sprintf("in-memory %dx", scale), fmt.Sprintf("%d", pages), mib(inmem))
-		RecordMetric(fmt.Sprintf("corpusmem.inmem_peak_bytes_%dx", scale), float64(inmem))
 
 		os.RemoveAll(dir)
 	}

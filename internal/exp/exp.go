@@ -1,8 +1,8 @@
 // Package exp is the experiment harness: one runner per table and figure of
 // the paper's evaluation (§VI–VIII), each regenerating the corresponding
-// rows or series on the synthetic corpus. The bench targets in the
-// repository root and the cmd/paebench CLI are thin wrappers around this
-// package.
+// rows or series on the synthetic corpus, plus the extensions the paper
+// proposes. The cmd/paebench CLI is a thin wrapper around this package; the
+// measurement harness is perfbench (BENCHMARK.json), which does not link it.
 package exp
 
 import (
@@ -61,7 +61,10 @@ type Experiment struct {
 	Run   func(Settings) string
 }
 
-// Experiments lists every reproducible artifact, in paper order.
+// Experiments lists every reproducible artifact: the paper's tables and
+// figures in paper order, then the title workload, the corpus-memory
+// measurement, and the extensions of §VIII/§IX. `paebench -exp all` prints
+// them in this order.
 var Experiments = []Experiment{
 	{"table1", "Table I — seed precision and coverage", TableI},
 	{"figure3", "Figure 3 — CRF precision/coverage across bootstrap iterations, ± cleaning", Figure3},
@@ -79,6 +82,14 @@ var Experiments = []Experiment{
 	{"hetero", "§VIII-E — homogeneous vs heterogeneous categories", Heterogeneous},
 	{"diversification", "§VIII-A — impact of value diversification on Vacuum Cleaner", Diversification},
 	{"title", "Title workload — distant-supervision bootstrap on listing titles (More, arXiv:1608.04670)", TitleWorkload},
+	{"corpusmem", "corpus memory — peak heap: in-memory vs streamed+spilled bootstrap", CorpusMemory},
+	{"ensemble", "§IX extension — CRF+RNN model combination", EnsembleCombination},
+	{"confidence", "extension — confidence-thresholded tagging sweep", ConfidenceSweep},
+	{"recall", "extension — true recall vs the paper's coverage proxy", RecallAudit},
+	{"homogenize", "§IX extension — attribute-value homogenisation", Homogenization},
+	{"partition", "§VIII-D extension — attribute partition optimisation", PartitionOptimization},
+	{"hitl", "§VIII extension — human-in-the-loop correction ceiling", HumanInTheLoop},
+	{"features", "extension — CRF feature-template and regulariser ablation", FeatureAblation},
 }
 
 // ByID returns the registered experiment with the given id.
@@ -118,15 +129,6 @@ var (
 	cacheMu  sync.Mutex
 	runCache = map[string]*cacheEntry{}
 )
-
-// ClearCache drops every memoised pipeline run. The macro-benchmarks call
-// it between iterations so that repeated runs measure real work instead of
-// cache hits; cmd/paebench never calls it, letting experiments share runs.
-func ClearCache() {
-	cacheMu.Lock()
-	runCache = map[string]*cacheEntry{}
-	cacheMu.Unlock()
-}
 
 // runCategory executes the pipeline on a generated category corpus,
 // memoising by (settings, category, config fingerprint) so experiments that

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -26,6 +27,32 @@ func TestByID(t *testing.T) {
 		if e.Title == "" || e.Run == nil {
 			t.Fatalf("experiment %q incomplete", e.ID)
 		}
+	}
+
+	// The checked-in `paebench -exp all` run that EXPERIMENTS.md quotes
+	// prints its sections in registry order: its "== id:" headers must be
+	// registered ids, in the same relative order.
+	raw, err := os.ReadFile("../../results/paebench_all.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	for _, line := range strings.Split(string(raw), "\n") {
+		id, ok := strings.CutPrefix(line, "== ")
+		if !ok {
+			continue
+		}
+		id, _, _ = strings.Cut(id, ":")
+		if !seen[id] {
+			t.Fatalf("results/paebench_all.txt section %q is not a registered experiment", id)
+		}
+		for next < len(Experiments) && Experiments[next].ID != id {
+			next++
+		}
+		if next == len(Experiments) {
+			t.Fatalf("results/paebench_all.txt section %q is out of registry order", id)
+		}
+		next++
 	}
 }
 

@@ -14,22 +14,8 @@ import (
 // implement and quantify the extensions its conclusion (§IX) and error
 // analysis (§VIII) propose — model combination, attribute partitioning,
 // value homogenisation, human-in-the-loop correction — plus a true-recall
-// audit that only the synthetic referee makes possible.
-
-// Extensions lists the future-work experiments, regenerable via
-// cmd/paebench exactly like the paper artifacts.
-var Extensions = []Experiment{
-	{"ensemble", "§IX extension — CRF+RNN model combination", EnsembleCombination},
-	{"confidence", "extension — confidence-thresholded tagging sweep", ConfidenceSweep},
-	{"recall", "extension — true recall vs the paper's coverage proxy", RecallAudit},
-	{"homogenize", "§IX extension — attribute-value homogenisation", Homogenization},
-	{"partition", "§VIII-D extension — attribute partition optimisation", PartitionOptimization},
-	{"hitl", "§VIII extension — human-in-the-loop correction ceiling", HumanInTheLoop},
-}
-
-func init() {
-	Experiments = append(Experiments, Extensions...)
-}
+// audit that only the synthetic referee makes possible. They are registered
+// in Experiments, after the paper artifacts.
 
 // EnsembleCombination compares the single models with their intersection
 // and union ensembles after one bootstrap iteration, on a clean and a noisy

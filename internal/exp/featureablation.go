@@ -5,12 +5,6 @@ import (
 	"repro/internal/eval"
 )
 
-func init() {
-	Experiments = append(Experiments, Experiment{
-		"features", "extension — CRF feature-template and regulariser ablation", FeatureAblation,
-	})
-}
-
 // FeatureAblation quantifies the design choices DESIGN.md calls out for the
 // CRF: the context-window radius of the paper's feature templates and the
 // elastic-net regularisation, measured after one bootstrap iteration on a

@@ -74,15 +74,11 @@ func TitleWorkload(s Settings) string {
 		title: "Title workload — distant-supervision bootstrap on listing titles",
 		head:  []string{"Category", "#Seed", "#Triples", "Prec", "Cov"},
 	}
-	var sumPrec, sumCov float64
-	cats := tableCats()
-	for _, cat := range cats {
+	for _, cat := range tableCats() {
 		r := titleRun(cat, s)
 		final := r.result.FinalTriples()
 		rep := r.truth.Judge(final)
 		cov := eval.Coverage(final, r.products())
-		sumPrec += rep.Precision()
-		sumCov += cov
 		t.addRow(cat.Name,
 			fmt.Sprintf("%d", len(r.result.SeedTriples)),
 			fmt.Sprintf("%d", len(final)),
@@ -90,7 +86,5 @@ func TitleWorkload(s Settings) string {
 			pct(cov),
 		)
 	}
-	RecordMetric("title.precision.avg", sumPrec/float64(len(cats)))
-	RecordMetric("title.coverage.avg", sumCov/float64(len(cats)))
 	return t.String()
 }

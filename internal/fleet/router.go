@@ -850,8 +850,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // FleetStatus is the GET /fleet reply. Latency maps route ("single",
 // "batch") to the live rolling-window quantiles — the same numbers /metrics
-// exposes as summaries, in scrapeable JSON for operators and the
-// serve-fleet experiment.
+// exposes as summaries, in scrapeable JSON for operators.
 type FleetStatus struct {
 	Backends []BackendStatus               `json:"backends"`
 	Inflight int64                         `json:"inflight"`

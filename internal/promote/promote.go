@@ -8,8 +8,7 @@
 // the router's /fleet discovery and each backend's /admin/reload.
 //
 // The consumers are `paeinspect diff-bundles` (diff + verdict + exit code)
-// and `cmd/paepromote` (train → diff → promote); internal/exp records the
-// same cycle as the `promote` experiment.
+// and `cmd/paepromote` (train → diff → promote).
 package promote
 
 import (
