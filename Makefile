@@ -71,9 +71,13 @@ fleet-smoke:
 ## same corpus in two shard geometries, paerun bootstraps both from disk (one
 ## with the prepared-corpus spill enabled), and the triples and model bundles
 ## must be byte-identical — the on-disk layout-invariance contract, exercised
-## through the real binaries. paeinspect re-verifies every shard fingerprint.
-## Not part of the tier-1 verify gate; the same invariant runs in-process
-## (including against the in-memory path) in TestRunSourceLayoutInvariant.
+## through the real binaries. Two more spilled runs over the sharded corpus
+## share a checkpoint: c1 fills the shard cache, c2 reuses every shard, and
+## c2's bundle must equal c1's and its triples a's. (Checkpointed runs stamp
+## corpus provenance into the bundle, so c*.paeb never equals a.paeb.)
+## paeinspect re-verifies every shard fingerprint. Not part of the tier-1
+## verify gate; the same invariants run in-process (including against the
+## in-memory path) in TestRunSourceLayoutInvariant and TestSpillWithShardCache.
 CORPUS_SMOKE_DIR ?= /tmp/pae-corpus-smoke
 corpus-smoke:
 	rm -rf $(CORPUS_SMOKE_DIR) && mkdir -p $(CORPUS_SMOKE_DIR)
@@ -86,7 +90,13 @@ corpus-smoke:
 		-out $(CORPUS_SMOKE_DIR)/b.jsonl -bundle $(CORPUS_SMOKE_DIR)/b.paeb
 	cmp $(CORPUS_SMOKE_DIR)/a.jsonl $(CORPUS_SMOKE_DIR)/b.jsonl
 	cmp $(CORPUS_SMOKE_DIR)/a.paeb $(CORPUS_SMOKE_DIR)/b.paeb
-	@echo "corpus-smoke OK: triples and bundle byte-identical across shard geometries"
+	$(GO) run ./cmd/paerun -corpus $(CORPUS_SMOKE_DIR)/sharded -iterations 1 -spill $(CORPUS_SMOKE_DIR)/spill \
+		-checkpoint $(CORPUS_SMOKE_DIR)/ckpt -out $(CORPUS_SMOKE_DIR)/c1.jsonl -bundle $(CORPUS_SMOKE_DIR)/c1.paeb
+	$(GO) run ./cmd/paerun -corpus $(CORPUS_SMOKE_DIR)/sharded -iterations 1 -spill $(CORPUS_SMOKE_DIR)/spill \
+		-checkpoint $(CORPUS_SMOKE_DIR)/ckpt -out $(CORPUS_SMOKE_DIR)/c2.jsonl -bundle $(CORPUS_SMOKE_DIR)/c2.paeb
+	cmp $(CORPUS_SMOKE_DIR)/c1.paeb $(CORPUS_SMOKE_DIR)/c2.paeb
+	cmp $(CORPUS_SMOKE_DIR)/c2.jsonl $(CORPUS_SMOKE_DIR)/a.jsonl
+	@echo "corpus-smoke OK: triples and bundle byte-identical across shard geometries, spill and shard-cache reuse"
 
 ## title-smoke is the end-to-end title-workload check through real binaries:
 ## paegen writes a title corpus, paerun bootstraps it into a title bundle
@@ -118,6 +128,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzTitleSeed -fuzztime=$(FUZZTIME) ./internal/seed
 	$(GO) test -run=^$$ -fuzz=FuzzLex -fuzztime=$(FUZZTIME) ./internal/htmlx
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeModel -fuzztime=$(FUZZTIME) ./internal/bundle
+	$(GO) test -run=^$$ -fuzz=FuzzShardEntry -fuzztime=$(FUZZTIME) ./internal/core
 
 clean:
 	$(GO) clean -testcache

@@ -1,11 +1,11 @@
 // Command paerun executes the full PAE bootstrap on a sharded corpus
 // directory produced by paegen (corpus.json + JSONL shards) and writes the
 // extracted triples as JSON lines. Pages stream from disk through the
-// corpus layer; with -spill the prepared corpus spills to bounded shards
-// too, so memory scales with the working set, not the corpus. When the
-// corpus carries planted truth it also prints the paper's precision and
-// coverage metrics per iteration, streaming them to stderr as iterations
-// complete.
+// corpus layer; with -spill the prepared corpus spills to disk too, one
+// entry per corpus shard, so memory scales with the shard size (paegen
+// -shard-size), not the corpus. When the corpus carries planted truth it
+// also prints the paper's precision and coverage metrics per iteration,
+// streaming them to stderr as iterations complete.
 //
 // Usage:
 //
@@ -61,8 +61,7 @@ func main() {
 		minConf    = flag.Float64("minconf", 0, "drop spans below this model confidence (0 disables)")
 		epochs     = flag.Int("epochs", 2, "RNN epochs")
 		workers    = flag.Int("workers", 0, "worker-pool size for every pipeline stage (0 = one per CPU); never changes output")
-		spill      = flag.String("spill", "", "spill the prepared corpus to bounded shards under this directory (empty keeps it in memory); never changes output")
-		spillSents = flag.Int("spill-sentences", 0, "prepared sentences per spill shard (0 = default 2048)")
+		spill      = flag.String("spill", "", "spill the prepared corpus under this directory, one entry per corpus shard (empty keeps it in memory); never changes output")
 		out        = flag.String("out", "triples.jsonl", "output file (JSON lines)")
 		bundleOut  = flag.String("bundle", "", "write the trained model as a versioned serving bundle (.paeb) to this file")
 		checkpoint = flag.String("checkpoint", "", "directory for per-iteration checkpoints (empty disables)")
@@ -151,18 +150,17 @@ func main() {
 	}
 
 	cfg := core.Config{
-		Workload:       wk,
-		Iterations:     *iters,
-		Parallelism:    *workers,
-		Spill:          *spill,
-		SpillSentences: *spillSents,
-		CRF:            crf.Config{},
-		LSTM:           lstm.Config{Epochs: *epochs},
-		MinConfidence:  *minConf,
-		Checkpoint:     *checkpoint,
-		Resume:         *resume,
-		Incremental:    *increment,
-		Obs:            rec,
+		Workload:      wk,
+		Iterations:    *iters,
+		Parallelism:   *workers,
+		Spill:         *spill,
+		CRF:           crf.Config{},
+		LSTM:          lstm.Config{Epochs: *epochs},
+		MinConfidence: *minConf,
+		Checkpoint:    *checkpoint,
+		Resume:        *resume,
+		Incremental:   *increment,
+		Obs:           rec,
 		// Stream per-iteration progress to stderr as cycles complete, so a
 		// multi-hour run is observable before it finishes.
 		OnIteration: func(it core.IterationResult) {

@@ -289,7 +289,7 @@ type manifestWireV3 struct {
 // here pins manifestWire's ids (and those of every type it reaches) at
 // package init, so bundle bytes — and therefore the bundle fingerprint —
 // are a pure function of bundle content, never of which other code used gob
-// first in the process (checkpoint state, prepared-corpus spill shards).
+// first in the process (checkpoint state, prepared-corpus shard entries).
 // The crf and lstm packages pin their own wire types the same way; package
 // initialisation order is deterministic, so every binary assigns the same
 // ids.

@@ -62,8 +62,8 @@ type Corpus struct {
 // Input is the streaming pipeline input: documents arrive one at a time
 // through a corpus.Source (an on-disk sharded corpus, an in-memory slice,
 // anything implementing the iterator), so the bootstrap's memory is bounded
-// by its working set — one document chunk, one prepared-sentence shard —
-// rather than by corpus size.
+// by its working set — one document chunk, one corpus shard's prepared
+// sentences — rather than by corpus size.
 type Input struct {
 	Source  corpus.Source
 	Queries []string
@@ -110,18 +110,17 @@ type Config struct {
 	Parallelism int
 
 	// Spill, when non-empty, is a directory beneath which the prep stage
-	// spills the prepared (tokenized and PoS-tagged) corpus as bounded gob
-	// shards instead of holding every sentence in memory. Each downstream
-	// pass — tagging, relabeling, the per-iteration embedding retraining —
-	// then streams the shards back one at a time, so resident memory scales
-	// with SpillSentences rather than corpus size. Spilling never changes
-	// outputs: the streamed passes replay the identical sentence order. The
-	// shard files are private and removed when the run ends; like
-	// Parallelism, Spill is excluded from the configuration fingerprint.
+	// spills the prepared (tokenized and PoS-tagged) corpus as one shard
+	// entry per corpus shard instead of holding every sentence in memory.
+	// Each downstream pass — tagging, relabeling, the per-iteration
+	// embedding retraining — then streams the entries back one at a time,
+	// so resident memory scales with the corpus shard size (paegen
+	// -shard-size; corpus.DefaultShardSize documents for a source without
+	// shards) rather than corpus size. Spilling never changes outputs: the
+	// streamed passes replay the identical sentence order. The entries are
+	// private and removed when the run ends; like Parallelism, Spill is
+	// excluded from the configuration fingerprint.
 	Spill string
-	// SpillSentences is the number of prepared sentences per spill shard
-	// (default 2048). Ignored without Spill.
-	SpillSentences int
 
 	// Ablation toggles (Table IV).
 	DisableDiversification   bool // "-div"
@@ -365,15 +364,17 @@ type runState struct {
 	// iter is the Tagger–Cleaner cycle in progress; 0 before the loop.
 	iter int
 
-	// ident names the corpus in checkpoints. cache memoizes per-shard
-	// seed/prep work; it is nil unless the run is checkpointed over a
-	// content-addressed source.
-	ident corpusIdent
-	cache *shardCache
+	// ident names the corpus in checkpoints. shards is a content-addressed
+	// source's shard table (nil for any other source); cache memoizes
+	// per-shard seed/prep work and is nil unless the run is checkpointed
+	// over a content-addressed source.
+	ident  corpusIdent
+	shards []corpus.ShardInfo
+	cache  *shardCache
 	// complete is the seed (the paper's complete_cc) that labels the
 	// initial training set.
 	complete []seed.Candidate
-	prep     prepared
+	prep     *prepared
 	dataset  []tagger.Sequence
 }
 
@@ -394,7 +395,7 @@ func (p *Pipeline) RunContext(ctx context.Context, c Corpus) (*Result, error) {
 // RunSource executes the full bootstrap on a streaming corpus under ctx. The
 // Source is read in two passes — seed discovery, then corpus preparation —
 // and is never materialised: memory is bounded by the prepared-sentence
-// working set (one spill shard with Config.Spill set), not by corpus size.
+// working set (one corpus shard's with Config.Spill set), not by corpus size.
 // The caller retains ownership of the Source and closes it after the run.
 //
 // Output is byte-identical to RunContext over the same document sequence,
@@ -515,10 +516,10 @@ func (st *runState) openCorpus() {
 	if !ok {
 		return
 	}
-	infos := ca.ShardInfos()
-	st.ident.stamp.Shards = len(infos)
+	st.shards = ca.ShardInfos()
+	st.ident.stamp.Shards = len(st.shards)
 	st.ident.generation = ca.Generation()
-	for _, si := range infos {
+	for _, si := range st.shards {
 		st.ident.shardSHAs = append(st.ident.shardSHAs, si.SHA256)
 	}
 	if st.cfg.Checkpoint != "" {
@@ -527,7 +528,7 @@ func (st *runState) openCorpus() {
 		// 1-iteration warm refresh may reuse a 5-iteration bootstrap's shard
 		// work.
 		st.cache = openShardCache(st.cfg.Checkpoint,
-			cacheKeyOf(fingerprintSansIters(st.fp), st.in.Lang, st.in.Lexicon), infos, st.rec)
+			cacheKeyOf(fingerprintSansIters(st.fp), st.in.Lang, st.in.Lexicon), st.shards, st.rec)
 	}
 }
 
@@ -538,35 +539,40 @@ func (st *runState) openCorpus() {
 // closes every shard it crosses, the final one included; a failed walk
 // rewinds the source, which closes the shard it stopped in.
 //
-// With a cache, chunks never straddle a content shard, and shardEnd(i) runs
-// once the source has read past shard i's last page — that is, once the
-// shard has passed its fingerprint check — so the cache stages and commits
-// work only for verified shards. Discovery and preparation are strictly
-// per-document, so the shard-aligned chunking yields the same outputs as
-// the layout-blind chunking of an uncached walk.
-func (st *runState) walk(fn func(chunk []seed.Document) error, shardEnd func(i int)) (docs int, err error) {
+// The walk is cut into units: the content shards of a content-addressed
+// source, corpus.DefaultShardSize documents of any other. Chunks never
+// straddle a unit, and unitEnd(i) runs once the source has read past unit
+// i's last page — for a content shard, once it has passed its fingerprint
+// check — so the cache stages and commits work only for verified shards and
+// a spill writes one entry per unit. A final unit that falls short of its
+// size does not end; the caller finishes it after the walk. Discovery and
+// preparation are strictly per-document, so the chunking never changes
+// their outputs.
+func (st *runState) walk(fn func(chunk []seed.Document) error, unitEnd func(i int) error) (docs int, err error) {
 	src := st.in.Source
 	defer func() {
 		if err != nil {
 			_ = src.Reset() // only to close the open shard; err is the failure to report
 		}
 	}()
-	var shards []corpus.ShardInfo
-	shard := 0
+	unit := 0
 	if st.cache != nil {
-		shards, shard = st.cache.infos, st.cache.prefix
-		err = src.(corpus.ContentAddressed).SeekShard(shard)
+		unit = st.cache.prefix
+		err = src.(corpus.ContentAddressed).SeekShard(unit)
 	} else {
 		err = src.Reset()
 	}
 	if err != nil {
 		return 0, err
 	}
-	// left counts the pages still due from the current shard; it is
-	// negative when no shard is tracked, so only a tracked shard ends.
+	// left counts the pages still due from the current unit; it is negative
+	// past a content-addressed source's last shard, so nothing more ends.
 	due := func() int {
-		if shard < len(shards) {
-			return shards[shard].Pages
+		switch {
+		case st.shards == nil:
+			return corpus.DefaultShardSize
+		case unit < len(st.shards):
+			return st.shards[unit].Pages
 		}
 		return -1
 	}
@@ -589,8 +595,10 @@ func (st *runState) walk(fn func(chunk []seed.Document) error, shardEnd func(i i
 			if err := flush(); err != nil {
 				return docs, err
 			}
-			shardEnd(shard)
-			shard++
+			if err := unitEnd(unit); err != nil {
+				return docs, err
+			}
+			unit++
 			left = due()
 		}
 		if err == io.EOF {
@@ -634,7 +642,7 @@ func (st *runState) seedStage(ctx context.Context) error {
 		if st.cache != nil {
 			// The reused prefix replays from the cache with no shard reads;
 			// the corpus stamp hash resumes from the cached mid-stream state.
-			if err := st.cache.replaySeed(h, func(e *shardCacheEntry) {
+			if err := st.cache.replaySeed(h, func(e *shardEntry) {
 				raw = append(raw, e.Raw...)
 				docs += e.Docs
 			}); err != nil {
@@ -656,9 +664,12 @@ func (st *runState) seedStage(ctx context.Context) error {
 			}
 			raw = append(raw, discover(chunk)...)
 			return nil
-		}, func(i int) {
-			st.cache.stage(i, append([]seed.Candidate(nil), raw[shardStart:]...), marshalHash(h))
+		}, func(i int) error {
+			if st.cache != nil {
+				st.cache.stage(i, append([]seed.Candidate(nil), raw[shardStart:]...), marshalHash(h))
+			}
 			shardStart = len(raw)
+			return nil
 		})
 		if err != nil {
 			return err
@@ -760,18 +771,20 @@ func (st *runState) seedStage(ctx context.Context) error {
 // labels the seed documents' sentences into the initial training set
 // (Figure 1, line 5). Each chunk fans out over the worker pool and merges in
 // document order, so the prepared corpus is identical for every Parallelism
-// value and every shard geometry. With Config.Spill set, prepared sentences
-// spill to bounded shards as they accumulate; only the seed documents'
-// sentences (the training set) stay resident.
+// value and every shard geometry. The prepared corpus is cut at every walk
+// unit: with Config.Spill set, each unit spills as one entry, and only the
+// seed documents' sentences (the training set) stay resident.
 func (st *runState) prepStage(ctx context.Context) error {
 	cfg, scfg, inj := st.cfg, st.cfg.Seed, st.cfg.FaultInjector
 	if err := st.stage(st.runSpan, faultinject.StagePrep, func(sp *obs.Span) error {
 		sp.SetAttrInt("workers", int64(cfg.Parallelism))
-		pw, err := newPrepWriter(cfg.Spill, cfg.SpillSentences, st.rec)
+		// Owned by st from here on, so RunSource removes a spill on every
+		// exit path, this stage's failures included.
+		p, err := newPrepared(cfg.Spill, st.rec)
 		if err != nil {
 			return err
 		}
-		defer pw.abort() // a no-op once finish hands the spill to st.prep
+		st.prep = p
 		seedDocs := make(map[string]bool)
 		for _, cand := range st.complete {
 			if cand.DocID != "" {
@@ -779,13 +792,13 @@ func (st *runState) prepStage(ctx context.Context) error {
 			}
 		}
 		var seedSents []seed.SentenceOf
-		add := func(ss []seed.SentenceOf) error {
+		add := func(ss []seed.SentenceOf) {
 			for _, s := range ss {
 				if seedDocs[s.DocID] {
 					seedSents = append(seedSents, s)
 				}
 			}
-			return pw.add(ss)
+			p.add(ss)
 		}
 		if st.cache != nil {
 			// The reused prefix replays in identical corpus order, with no
@@ -795,14 +808,12 @@ func (st *runState) prepStage(ctx context.Context) error {
 				if e == nil {
 					return fmt.Errorf("pae: shard cache entry %d became unreadable mid-run", i)
 				}
-				if err := add(e.Sents); err != nil {
+				add(e.Sents)
+				if _, err := p.cut(); err != nil {
 					return err
 				}
 			}
 		}
-		// shardSents collects the current shard's sentences for its cache
-		// entry, committed once the walk has verified the shard.
-		var shardSents []seed.SentenceOf
 		perDoc := make([][]seed.SentenceOf, prepChunk)
 		if _, err := st.walk(func(chunk []seed.Document) error {
 			pd := perDoc[:len(chunk)]
@@ -816,26 +827,24 @@ func (st *runState) prepStage(ctx context.Context) error {
 				return err
 			}
 			for _, ss := range pd {
-				if st.cache != nil {
-					shardSents = append(shardSents, ss...)
-				}
-				if err := add(ss); err != nil {
-					return err
-				}
+				add(ss)
 			}
 			return nil
-		}, func(i int) {
-			st.cache.commit(i, shardSents)
-			shardSents = nil
+		}, func(i int) error {
+			// The unit is a verified shard: its sentences complete the
+			// shard's cache entry.
+			unit, err := p.cut()
+			if err == nil && st.cache != nil {
+				st.cache.commit(i, unit)
+			}
+			return err
 		}); err != nil {
 			return err
 		}
-		pc, err := pw.finish()
-		if err != nil {
+		if _, err := p.cut(); err != nil {
 			return err
 		}
-		st.prep = pc
-		sp.SetAttrInt("sentences", int64(pc.count()))
+		sp.SetAttrInt("sentences", int64(p.count()))
 		st.dataset, err = seed.LabelSentencesCtx(ctx, seedSents, st.complete, nil, scfg, cfg.Parallelism)
 		return err
 	}); err != nil {
@@ -990,7 +999,7 @@ func (st *runState) iteration(ctx context.Context, iter int) bool {
 		// TagSentences dedups within its call; a corpus-wide pass restores
 		// the cross-batch dedup (first occurrence wins, so the result is
 		// identical to tagging the whole corpus in one call — batch
-		// boundaries, and therefore spill-shard geometry, never show).
+		// boundaries, and therefore spill geometry, never show).
 		tagged = triples.Dedup(tagged)
 		return nil
 	}); err != nil {
@@ -1137,7 +1146,7 @@ func train(ctx context.Context, cfg Config, dataset []tagger.Sequence, iter uint
 // stream the semantic filter retrains its embeddings on. Token texts are
 // extracted per batch on every pass, so no corpus-sized token table is ever
 // held resident.
-func corpusTokenStream(prep prepared) word2vec.SentenceStream {
+func corpusTokenStream(prep *prepared) word2vec.SentenceStream {
 	return func(yield func([]string) error) error {
 		return prep.forEach(func(batch []seed.SentenceOf) error {
 			for _, s := range batch {
@@ -1155,7 +1164,7 @@ func corpusTokenStream(prep prepared) word2vec.SentenceStream {
 // labeled with exactly its own values, fanned out over the worker pool with
 // an index-ordered merge. The prepared corpus streams by; only the labeled
 // documents' sentences (the training set) are collected.
-func relabel(ctx context.Context, prep prepared, current []triples.Triple, scfg seed.Config, workers int) ([]tagger.Sequence, error) {
+func relabel(ctx context.Context, prep *prepared, current []triples.Triple, scfg seed.Config, workers int) ([]tagger.Sequence, error) {
 	allowed := make(map[string]map[string]bool)
 	// One candidate per triple (not per distinct pair): the multiplicity is
 	// the claim frequency the matcher uses to resolve competing attributes

@@ -1,17 +1,15 @@
 // The prepared-corpus cache: every document is tokenized and PoS-tagged
 // exactly once (the prep stage), and the result is what each downstream
 // stage — tagging, relabeling, and the per-iteration word2vec retraining —
-// streams, in corpus order, once per pass. Two backings exist: an in-memory
-// slice (the historical behavior, still the default) and a disk spill of
-// bounded gob shards, which caps resident memory at one spill shard no
-// matter how large the corpus is. Both yield the identical sentence
-// sequence, so the choice of backing never changes pipeline output.
+// streams, in corpus order, once per pass. It lives in memory (the default)
+// or, with Config.Spill set, as one shard entry per corpus shard in a
+// private directory, which caps resident memory at one corpus shard's
+// sentences no matter how large the corpus is. Both yield the identical
+// sentence sequence, so the choice never changes pipeline output.
 
 package core
 
 import (
-	"bufio"
-	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -20,176 +18,95 @@ import (
 	"repro/internal/seed"
 )
 
-// defaultSpillSentences is the prepared-sentence count per spill shard when
-// Config.SpillSentences is zero: small enough that a shard of verbose pages
-// is a trivial fraction of RAM, large enough that decode overhead vanishes.
-const defaultSpillSentences = 2048
+// prepared is the once-prepared corpus the post-prep stages read. The prep
+// stage adds each document's sentences and cuts at every walk unit (see
+// walk); forEach then streams the sentences as batches in corpus order, and
+// every invocation replays the identical sequence. close releases the
+// backing (for a spill, it deletes the entries); the corpus is unusable
+// after.
+type prepared struct {
+	dir string // private entry directory under Config.Spill; "" = in memory
+	rec *obs.Recorder
 
-// prepared is the once-prepared corpus the post-prep stages read. forEach
-// streams the sentences as bounded batches in corpus order; every invocation
-// replays the identical sequence. close releases the backing (for a disk
-// spill, it deletes the shard files); the corpus is unusable after.
-type prepared interface {
-	forEach(fn func(batch []seed.SentenceOf) error) error
-	count() int
-	close() error
+	// sents holds every sentence in memory; when spilling, only those added
+	// since the last cut. mark is where the current unit starts.
+	sents   []seed.SentenceOf
+	mark    int
+	entries int // spill entries written
+	n       int // total sentences
 }
 
-// memPrepared holds the whole prepared corpus in memory — the path taken
-// when Config.Spill is unset.
-type memPrepared struct {
-	sents []seed.SentenceOf
-}
-
-func (m *memPrepared) forEach(fn func([]seed.SentenceOf) error) error {
-	if len(m.sents) == 0 {
-		return nil
-	}
-	return fn(m.sents)
-}
-
-func (m *memPrepared) count() int   { return len(m.sents) }
-func (m *memPrepared) close() error { return nil }
-
-// diskPrepared reads back a spilled prepared corpus, one shard at a time.
-type diskPrepared struct {
-	dir    string
-	shards []string // shard file names, in corpus order
-	n      int      // total sentences
-}
-
-func (d *diskPrepared) forEach(fn func([]seed.SentenceOf) error) error {
-	for _, name := range d.shards {
-		batch, err := readSpillShard(filepath.Join(d.dir, name))
-		if err != nil {
-			return err
-		}
-		if err := fn(batch); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (d *diskPrepared) count() int   { return d.n }
-func (d *diskPrepared) close() error { return os.RemoveAll(d.dir) }
-
-func readSpillShard(path string) ([]seed.SentenceOf, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("pae: spill shard: %w", err)
-	}
-	defer f.Close()
-	var batch []seed.SentenceOf
-	if err := gob.NewDecoder(bufio.NewReaderSize(f, 64<<10)).Decode(&batch); err != nil {
-		return nil, fmt.Errorf("pae: spill shard decode %s: %w", path, err)
-	}
-	return batch, nil
-}
-
-// prepWriter accumulates prepared sentences during the prep stage and hands
-// back the matching prepared implementation: in-memory when spillDir is
-// empty, otherwise gob shards of at most per sentences under a private
-// directory inside spillDir. Spilled bytes are reported through the
-// prep.spill_bytes counter.
-type prepWriter struct {
-	spillDir string // private shard directory; "" = in-memory mode
-	per      int
-	rec      *obs.Recorder
-
-	mem    []seed.SentenceOf // in-memory mode accumulator
-	buf    []seed.SentenceOf // spill mode: sentences not yet flushed
-	shards []string
-	n      int
-	done   bool
-}
-
-// newPrepWriter readies a writer. spill is Config.Spill: empty keeps the
-// prepared corpus in memory; otherwise a private shard directory is created
+// newPrepared readies an empty prepared corpus. spill is Config.Spill: empty
+// keeps the corpus in memory; otherwise a private entry directory is created
 // beneath it.
-func newPrepWriter(spill string, per int, rec *obs.Recorder) (*prepWriter, error) {
-	if per <= 0 {
-		per = defaultSpillSentences
+func newPrepared(spill string, rec *obs.Recorder) (*prepared, error) {
+	p := &prepared{rec: rec}
+	if spill == "" {
+		return p, nil
 	}
-	w := &prepWriter{per: per, rec: rec}
-	if spill != "" {
-		if err := os.MkdirAll(spill, 0o755); err != nil {
-			return nil, fmt.Errorf("pae: spill dir: %w", err)
-		}
-		dir, err := os.MkdirTemp(spill, "pae-prep-*")
-		if err != nil {
-			return nil, fmt.Errorf("pae: spill dir: %w", err)
-		}
-		w.spillDir = dir
+	if err := os.MkdirAll(spill, 0o755); err != nil {
+		return nil, fmt.Errorf("pae: spill dir: %w", err)
 	}
-	return w, nil
+	dir, err := os.MkdirTemp(spill, "pae-prep-*")
+	if err != nil {
+		return nil, fmt.Errorf("pae: spill dir: %w", err)
+	}
+	p.dir = dir
+	return p, nil
 }
 
-// add appends one document's prepared sentences, flushing full spill shards.
-func (w *prepWriter) add(ss []seed.SentenceOf) error {
-	w.n += len(ss)
-	if w.spillDir == "" {
-		w.mem = append(w.mem, ss...)
-		return nil
+// add appends one document's prepared sentences.
+func (p *prepared) add(ss []seed.SentenceOf) {
+	p.sents = append(p.sents, ss...)
+	p.n += len(ss)
+}
+
+// cut ends the current unit and returns its sentences. When spilling, a
+// non-empty unit is written as one entry and dropped from memory.
+func (p *prepared) cut() ([]seed.SentenceOf, error) {
+	unit := p.sents[p.mark:]
+	if p.dir == "" {
+		p.mark = len(p.sents)
+		return unit, nil
 	}
-	w.buf = append(w.buf, ss...)
-	for len(w.buf) >= w.per {
-		if err := w.flush(w.buf[:w.per]); err != nil {
+	p.sents = nil
+	if len(unit) == 0 {
+		return unit, nil
+	}
+	n, err := writeEntry(p.dir, entryName(p.entries), &shardEntry{Index: p.entries, Sents: unit})
+	if err != nil {
+		return nil, fmt.Errorf("pae: spill entry: %w", err)
+	}
+	p.entries++
+	p.rec.Add("prep.spill_bytes", n)
+	p.rec.Add("prep.spill_shards", 1)
+	return unit, nil
+}
+
+func (p *prepared) forEach(fn func(batch []seed.SentenceOf) error) error {
+	if p.dir == "" {
+		if len(p.sents) == 0 {
+			return nil
+		}
+		return fn(p.sents)
+	}
+	for i := 0; i < p.entries; i++ {
+		e, err := readEntry(filepath.Join(p.dir, entryName(i)))
+		if err != nil {
 			return err
 		}
-		w.buf = append(w.buf[:0:0], w.buf[w.per:]...)
-	}
-	return nil
-}
-
-func (w *prepWriter) flush(batch []seed.SentenceOf) error {
-	name := fmt.Sprintf("prep-%04d.gob", len(w.shards))
-	path := filepath.Join(w.spillDir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("pae: spill shard: %w", err)
-	}
-	cw := &countingWriter{w: f}
-	bw := bufio.NewWriterSize(cw, 64<<10)
-	if err := gob.NewEncoder(bw).Encode(batch); err != nil {
-		f.Close()
-		return fmt.Errorf("pae: spill shard encode: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	w.rec.Add("prep.spill_bytes", cw.n)
-	w.shards = append(w.shards, name)
-	return nil
-}
-
-// finish seals the writer and returns the prepared corpus. The caller owns
-// the result and must close it.
-func (w *prepWriter) finish() (prepared, error) {
-	w.done = true
-	if w.spillDir == "" {
-		return &memPrepared{sents: w.mem}, nil
-	}
-	if len(w.buf) > 0 {
-		if err := w.flush(w.buf); err != nil {
-			os.RemoveAll(w.spillDir)
-			return nil, err
+		if err := fn(e.Sents); err != nil {
+			return err
 		}
-		w.buf = nil
 	}
-	w.rec.Add("prep.spill_shards", int64(len(w.shards)))
-	return &diskPrepared{dir: w.spillDir, shards: w.shards, n: w.n}, nil
+	return nil
 }
 
-// abort deletes any partial spill state after a failed prep stage. It is a
-// no-op after finish (the prepared corpus then owns the directory).
-func (w *prepWriter) abort() {
-	if w.done || w.spillDir == "" {
-		return
+func (p *prepared) count() int { return p.n }
+
+func (p *prepared) close() error {
+	if p.dir == "" {
+		return nil
 	}
-	os.RemoveAll(w.spillDir)
+	return os.RemoveAll(p.dir)
 }

@@ -37,9 +37,11 @@ import (
 	"encoding"
 	"encoding/gob"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"hash"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -51,9 +53,10 @@ import (
 // shardCacheDir is the subdirectory of Config.Checkpoint holding the cache.
 const shardCacheDir = "shardcache"
 
-// shardCacheEntry is one cached shard: everything the two corpus passes
-// derive from its documents.
-type shardCacheEntry struct {
+// shardEntry is the one on-disk form of prepared corpus work: what the two
+// corpus passes derive from one corpus shard. A shard-cache entry carries
+// every field; a spill entry (see prepared) carries only Index and Sents.
+type shardEntry struct {
 	// Key is the derivation key: a hash over the configuration fingerprint
 	// (with the iteration count blanked — the schedule never shapes these
 	// corpus passes), the corpus language, and the seed lexicon — every
@@ -107,7 +110,7 @@ type shardCache struct {
 	prefix int
 	// staged holds fresh shards' seed-pass halves until the prep pass
 	// completes them with sentences and commits them to disk.
-	staged map[int]*shardCacheEntry
+	staged map[int]*shardEntry
 }
 
 // openShardCache returns the cache for a checkpointed run over a content-
@@ -118,26 +121,60 @@ func openShardCache(checkpointDir, key string, infos []corpus.ShardInfo, rec *ob
 		key:    key,
 		infos:  infos,
 		rec:    rec,
-		staged: make(map[int]*shardCacheEntry),
+		staged: make(map[int]*shardEntry),
 	}
 }
 
-func (c *shardCache) entryPath(i int) string {
-	return filepath.Join(c.dir, fmt.Sprintf("shard-%04d.gob", i))
+// entryName names the entry file for shard (or spill unit) i.
+func entryName(i int) string { return fmt.Sprintf("shard-%04d.gob", i) }
+
+// readEntry decodes the entry stored at path.
+func readEntry(path string) (*shardEntry, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("pae: shard entry: %w", err)
+	}
+	defer f.Close()
+	var e shardEntry
+	if err := gob.NewDecoder(bufio.NewReaderSize(f, 64<<10)).Decode(&e); err != nil {
+		return nil, fmt.Errorf("pae: shard entry decode %s: %w", path, err)
+	}
+	return &e, nil
+}
+
+// writeEntry stores e as dir/name via temp + rename, so a reader never sees
+// a partial entry, and returns the bytes written.
+func writeEntry(dir, name string, e *shardEntry) (int64, error) {
+	tmp, err := os.CreateTemp(dir, ".shard-*")
+	if err != nil {
+		return 0, err
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	cw := &countingWriter{w: tmp}
+	bw := bufio.NewWriterSize(cw, 64<<10)
+	if err := gob.NewEncoder(bw).Encode(e); err != nil {
+		tmp.Close()
+		return 0, err
+	}
+	if err := bw.Flush(); err != nil {
+		tmp.Close()
+		return 0, err
+	}
+	if err := tmp.Close(); err != nil {
+		return 0, err
+	}
+	return cw.n, os.Rename(tmp.Name(), filepath.Join(dir, name))
 }
 
 // load reads and validates the entry for shard i. It returns nil (no error)
 // when the entry is missing, unreadable, or does not answer for this exact
 // shard and derivation — all of which just mean "recompute".
-func (c *shardCache) load(i int) *shardCacheEntry {
-	f, err := os.Open(c.entryPath(i))
+func (c *shardCache) load(i int) *shardEntry {
+	e, err := readEntry(filepath.Join(c.dir, entryName(i)))
 	if err != nil {
-		return nil
-	}
-	defer f.Close()
-	var e shardCacheEntry
-	if err := gob.NewDecoder(bufio.NewReaderSize(f, 64<<10)).Decode(&e); err != nil {
-		c.rec.Warn("skipping unreadable shard-cache entry", "index", i, "err", err)
+		if !errors.Is(err, fs.ErrNotExist) {
+			c.rec.Warn("skipping unreadable shard-cache entry", "index", i, "err", err)
+		}
 		return nil
 	}
 	if e.Key != c.key || e.Index != i || i >= len(c.infos) || e.ShardSHA != c.infos[i].SHA256 {
@@ -149,14 +186,14 @@ func (c *shardCache) load(i int) *shardCacheEntry {
 		c.rec.Warn("shard-cache entry has unusable hash state", "index", i, "err", err)
 		return nil
 	}
-	return &e
+	return e
 }
 
 // replaySeed replays the longest valid cached shard prefix into the seed
 // pass: consume sees each entry in shard order. It fixes c.prefix and, when
 // at least one shard was reused, restores the corpus stamp hash h to the
 // state after the last reused shard.
-func (c *shardCache) replaySeed(h hash.Hash, consume func(*shardCacheEntry)) error {
+func (c *shardCache) replaySeed(h hash.Hash, consume func(*shardEntry)) error {
 	var state []byte
 	for i := range c.infos {
 		e := c.load(i)
@@ -181,15 +218,15 @@ func (c *shardCache) replaySeed(h hash.Hash, consume func(*shardCacheEntry)) err
 // stage records the seed-pass half of a fresh shard's entry; commit writes
 // the whole entry once the prep pass has its sentences.
 func (c *shardCache) stage(i int, raw []seed.Candidate, hashState []byte) {
-	c.staged[i] = &shardCacheEntry{
+	c.staged[i] = &shardEntry{
 		Key: c.key, Index: i, ShardSHA: c.infos[i].SHA256,
 		Docs: c.infos[i].Pages, Raw: raw, HashState: hashState,
 	}
 }
 
 // commit completes a staged entry with the prep pass's sentences and writes
-// it via temp + rename. Cache writes are advisory: a failure is logged and
-// the run continues (the shard is simply recomputed next time).
+// it. Cache writes are advisory: a failure is logged and the run continues
+// (the shard is simply recomputed next time).
 func (c *shardCache) commit(i int, sents []seed.SentenceOf) {
 	e := c.staged[i]
 	if e == nil {
@@ -197,33 +234,13 @@ func (c *shardCache) commit(i int, sents []seed.SentenceOf) {
 	}
 	delete(c.staged, i)
 	e.Sents = sents
-	if err := c.writeEntry(e); err != nil {
+	err := os.MkdirAll(c.dir, 0o755)
+	if err == nil {
+		_, err = writeEntry(c.dir, entryName(i), e)
+	}
+	if err != nil {
 		c.rec.Warn("shard-cache write failed; run continues", "index", i, "err", err)
 	}
-}
-
-func (c *shardCache) writeEntry(e *shardCacheEntry) error {
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(c.dir, ".shard-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	bw := bufio.NewWriterSize(tmp, 64<<10)
-	if err := gob.NewEncoder(bw).Encode(e); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), c.entryPath(e.Index))
 }
 
 // restoreHash loads a marshaled hash state into h.

@@ -71,7 +71,6 @@ func TestRunSourceLayoutInvariant(t *testing.T) {
 		cfg.Parallelism = v.workers
 		if v.spill {
 			cfg.Spill = t.TempDir()
-			cfg.SpillSentences = 50 // force multiple spill shards for 90 pages
 		}
 		rec := obs.New(obs.Options{})
 		cfg.Obs = rec
@@ -140,26 +139,175 @@ func TestRunSourceLayoutInvariant(t *testing.T) {
 	}
 }
 
-// TestSpillLeavesNothingBehind: a spilled run removes its private shard cache
-// on every exit path.
+// TestSpillLeavesNothingBehind: a spilled run removes its private entries
+// on every exit path: a completed run, a prep stage that panics after it has
+// spilled an entry, and a contained panic in an iteration's tag stage.
 func TestSpillLeavesNothingBehind(t *testing.T) {
 	gc := gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 60})
 	spill := t.TempDir()
 	cfg := fastConfig()
 	cfg.Iterations = 1
 	cfg.Spill = spill
-	cfg.SpillSentences = 40
 	src := corpus.NewSliceSource(corpusFor(gc).Documents)
 	if _, err := New(cfg).RunSource(context.Background(),
 		Input{Source: src, Queries: gc.Queries, Lang: gc.Lang}); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(spill)
+	assertEmptyDir(t, spill)
+
+	// 90 pages in shards of 13: 7 shards, so prep call 20 falls in shard 1,
+	// after shard 0's entry is written.
+	gc = gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 90})
+	dir := shardGenCorpus(t, gc, 13)
+	for _, stage := range []string{faultinject.StagePrepWorker, faultinject.StageTag} {
+		t.Run(stage, func(t *testing.T) {
+			spill := t.TempDir()
+			cfg := fastConfig()
+			cfg.Iterations = 1
+			cfg.Spill = spill
+			call := 1
+			if stage == faultinject.StagePrepWorker {
+				call = 20
+			}
+			cfg.FaultInjector = faultinject.New(
+				faultinject.Fault{Stage: stage, Call: call, Kind: faultinject.Panic})
+			rec := obs.New(obs.Options{})
+			cfg.Obs = rec
+			src := openSource(t, dir)
+			defer src.Close()
+			res, err := New(cfg).RunSource(context.Background(),
+				Input{Source: src, Queries: gc.Queries, Lang: gc.Lang})
+			if err == nil {
+				err = res.StopReason.Err
+			}
+			if !errors.Is(err, ErrStagePanic) {
+				t.Fatalf("got %v, want the injected panic", err)
+			}
+			if n := rec.Snapshot().Counters["prep.spill_shards"]; n < 1 {
+				t.Fatalf("prep.spill_shards = %d, want an entry written before the panic", n)
+			}
+			assertEmptyDir(t, spill)
+		})
+	}
+}
+
+func assertEmptyDir(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(entries) != 0 {
 		t.Fatalf("spill directory not cleaned up: %d entries remain", len(entries))
+	}
+}
+
+// TestSpillWithShardCache: a spilled, checkpointed run — cold, warm with
+// every shard reused, and incremental after an append — gives the same final
+// triples and bundle as the same sequence without spill, and removes its
+// private entries each time.
+func TestSpillWithShardCache(t *testing.T) {
+	gc := gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 60})
+	type step struct {
+		name        string
+		incremental bool
+		reused      int
+		recomputed  int
+	}
+	steps := []step{{"cold", false, 0, 3}, {"warm", false, 3, 0}, {"incremental", true, 3, 1}}
+
+	// sequence runs the three steps over a fresh 3-shard corpus, appending
+	// a shard before the incremental one.
+	sequence := func(spill bool) []*Result {
+		dir := shardGenCorpus(t, gc, 20)
+		ckpt := t.TempDir()
+		var out []*Result
+		for _, s := range steps {
+			if s.incremental {
+				appendGenPages(t, dir, 77, 20)
+			}
+			cfg := fastConfig()
+			cfg.Checkpoint = ckpt
+			cfg.Incremental = s.incremental
+			if spill {
+				cfg.Spill = t.TempDir()
+			}
+			src := openSource(t, dir)
+			res, err := New(cfg).RunSource(context.Background(),
+				Input{Source: src, Queries: gc.Queries, Lang: gc.Lang})
+			src.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			if res.ShardsReused != s.reused || res.ShardsRecomputed != s.recomputed {
+				t.Fatalf("%s: reused/recomputed = %d/%d, want %d/%d",
+					s.name, res.ShardsReused, res.ShardsRecomputed, s.reused, s.recomputed)
+			}
+			if spill {
+				assertEmptyDir(t, cfg.Spill)
+			}
+			out = append(out, res)
+		}
+		return out
+	}
+	want, got := sequence(false), sequence(true)
+	for i, s := range steps {
+		if !reflect.DeepEqual(got[i].FinalTriples(), want[i].FinalTriples()) {
+			t.Fatalf("%s: spilled final triples differ from the unspilled run", s.name)
+		}
+		bw, err := want[i].Bundle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bg, err := got[i].Bundle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bg.Fingerprint() != bw.Fingerprint() {
+			t.Fatalf("%s: spilled bundle fingerprint %q, unspilled %q", s.name, bg.Fingerprint(), bw.Fingerprint())
+		}
+	}
+}
+
+// TestWalkUnitsWithoutShards: over a source without shards, the walk cuts a
+// unit every corpus.DefaultShardSize documents. It delivers every document
+// in order, no chunk straddles a unit boundary, and only the full units end.
+func TestWalkUnitsWithoutShards(t *testing.T) {
+	const n = 1100
+	docs := make([]seed.Document, n)
+	for i := range docs {
+		docs[i] = seed.Document{ID: fmt.Sprint(i)}
+	}
+	st := &runState{in: Input{Source: corpus.NewSliceSource(docs)}}
+	st.openCorpus()
+	seen := 0
+	var ends []int
+	got, err := st.walk(func(chunk []seed.Document) error {
+		for _, d := range chunk {
+			if d.ID != fmt.Sprint(seen) {
+				t.Fatalf("document %d delivered as %q", seen, d.ID)
+			}
+			seen++
+		}
+		if start := seen - len(chunk); start/corpus.DefaultShardSize != (seen-1)/corpus.DefaultShardSize {
+			t.Fatalf("chunk [%d,%d) straddles a unit boundary", start, seen)
+		}
+		return nil
+	}, func(i int) error {
+		if seen != (i+1)*corpus.DefaultShardSize {
+			t.Fatalf("unit %d ended after %d documents", i, seen)
+		}
+		ends = append(ends, i)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != n || seen != n {
+		t.Fatalf("walk read %d and delivered %d documents, want %d", got, seen, n)
+	}
+	if !reflect.DeepEqual(ends, []int{0, 1}) {
+		t.Fatalf("units ended: %v, want [0 1]", ends)
 	}
 }
 

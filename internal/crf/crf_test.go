@@ -127,9 +127,8 @@ func TestViterbiMatchesBruteForce(t *testing.T) {
 		// alphabet, so exercise the decoder through model internals.
 		feats := seqFeats(5)
 		_, wantPath := bruteForce(m, feats)
-		// Decode using the same machinery Predict uses, by going through a
-		// synthetic sequence: install a passthrough by calling viterbi on
-		// feats directly via MarginalPredict-style plumbing.
+		// Decode with viterbiOnFeats, Predict's Viterbi run on the
+		// hand-built feature IDs directly.
 		got := viterbiOnFeats(m, feats)
 		for i := range wantPath {
 			if got[i] != wantPath[i] {
@@ -285,17 +284,19 @@ func TestPredictEmptySequence(t *testing.T) {
 	}
 }
 
-func TestMarginalPredictConfidence(t *testing.T) {
+// TestPredictWithConfidence checks the confidence path extract.Engine
+// decodes with: the Viterbi labels plus an in-range confidence per token.
+func TestPredictWithConfidence(t *testing.T) {
 	model, err := Trainer{Config: Config{MaxIter: 40}}.Fit(trainToy(30))
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, conf := model.(*Model).MarginalPredict(tagger.Sequence{
+	labels, conf := model.(*Model).PredictWithConfidence(tagger.Sequence{
 		Tokens: []string{"weight", "is", "3", "kg", "total"},
 		PoS:    []string{"NN", "PART", "NUM", "UNIT", "NN"},
 	})
 	if labels[2] != "B-weight" {
-		t.Fatalf("marginal labels = %v", labels)
+		t.Fatalf("labels = %v", labels)
 	}
 	for i, c := range conf {
 		if c < 0 || c > 1+1e-9 {

@@ -205,31 +205,3 @@ func (d *Decoder) viterbi(out []string, feats [][]int, n int) {
 		arg = back[t*L+arg]
 	}
 }
-
-// MarginalPredict returns, for every token, the label with the highest
-// posterior marginal together with that marginal probability. The
-// bootstrapping loop can use the probabilities as a confidence signal.
-func (m *Model) MarginalPredict(seq tagger.Sequence) ([]string, []float64) {
-	n := len(seq.Tokens)
-	labels := make([]string, n)
-	conf := make([]float64, n)
-	if n == 0 {
-		return labels, conf
-	}
-	enc := &encodedSeq{feats: m.featureIDs(seq)}
-	fb := newFB(len(m.labels))
-	fb.run(m, enc, n)
-	L := len(m.labels)
-	for t := 0; t < n; t++ {
-		best, arg := -1.0, 0
-		for y := 0; y < L; y++ {
-			p := fb.alpha[t*L+y] * fb.beta[t*L+y]
-			if p > best {
-				best, arg = p, y
-			}
-		}
-		labels[t] = m.labels[arg]
-		conf[t] = best
-	}
-	return labels, conf
-}

@@ -95,29 +95,19 @@ func CorpusMemory(s Settings) string {
 		gc := gen.Generate(cat, gen.Options{Seed: s.Seed, Items: items})
 		queries, lang, pages := gc.Queries, gc.Lang, len(gc.Pages)
 
-		// Streamed: pages on disk in shards, prepared sentences spilled. The
-		// generated corpus is released before measuring, so the sampler sees
-		// what a production ingest would: disk in, spill out. Two shard
-		// geometries show the peak tracking shard size, not corpus size.
-		dir, err := os.MkdirTemp("", "pae-corpusmem-*")
-		if err != nil {
-			panic(fmt.Sprintf("exp: corpusmem: %v", err))
-		}
-		w, err := corpus.NewWriter(dir, corpus.WriterOptions{Name: gc.Name, Lang: lang, ShardSize: 32})
-		if err != nil {
-			panic(fmt.Sprintf("exp: corpusmem: %v", err))
-		}
-		for _, p := range gc.Pages {
-			if err := w.WritePage(seed.Document{ID: p.ID, HTML: p.HTML}); err != nil {
-				panic(fmt.Sprintf("exp: corpusmem: %v", err))
-			}
-		}
-		if err := w.Close(); err != nil {
-			panic(fmt.Sprintf("exp: corpusmem: %v", err))
+		// Streamed: pages on disk in shards, prepared sentences spilled one
+		// entry per shard. The generated corpus is released before
+		// measuring, so the sampler sees what a production ingest would:
+		// disk in, spill out. Two shard geometries show the peak tracking
+		// shard size, not corpus size.
+		shardSizes := []int{corpus.DefaultShardSize, 32}
+		dirs := make([]string, len(shardSizes))
+		for i, size := range shardSizes {
+			dirs[i] = writeCorpus(gc, size)
 		}
 		gc = nil
 
-		for _, spillSents := range []int{256, 2048} {
+		for i, dir := range dirs {
 			streamed := func() uint64 {
 				r, err := corpus.Open(dir)
 				if err != nil {
@@ -126,7 +116,6 @@ func CorpusMemory(s Settings) string {
 				scfg := cfg
 				scfg.Parallelism = s.Workers
 				scfg.Spill = dir
-				scfg.SpillSentences = spillSents
 				src := r.Source()
 				defer src.Close()
 				sampler := startPeakSampler()
@@ -136,7 +125,7 @@ func CorpusMemory(s Settings) string {
 				}
 				return sampler.delta()
 			}()
-			t.addRow(fmt.Sprintf("streamed, %d-sentence spill shards %dx", spillSents, scale),
+			t.addRow(fmt.Sprintf("streamed, %d-page shards %dx", shardSizes[i], scale),
 				fmt.Sprintf("%d", pages), mib(streamed))
 		}
 
@@ -145,7 +134,7 @@ func CorpusMemory(s Settings) string {
 		// precisely this path's cost.
 		inmem := func() uint64 {
 			sampler := startPeakSampler()
-			r, err := corpus.Open(dir)
+			r, err := corpus.Open(dirs[0])
 			if err != nil {
 				panic(fmt.Sprintf("exp: corpusmem: %v", err))
 			}
@@ -169,9 +158,33 @@ func CorpusMemory(s Settings) string {
 		}()
 		t.addRow(fmt.Sprintf("in-memory %dx", scale), fmt.Sprintf("%d", pages), mib(inmem))
 
-		os.RemoveAll(dir)
+		for _, dir := range dirs {
+			os.RemoveAll(dir)
+		}
 	}
 	return t.String()
+}
+
+// writeCorpus writes gc to a fresh temporary directory in shards of
+// shardSize pages and returns the directory.
+func writeCorpus(gc *gen.Corpus, shardSize int) string {
+	dir, err := os.MkdirTemp("", "pae-corpusmem-*")
+	if err != nil {
+		panic(fmt.Sprintf("exp: corpusmem: %v", err))
+	}
+	w, err := corpus.NewWriter(dir, corpus.WriterOptions{Name: gc.Name, Lang: gc.Lang, ShardSize: shardSize})
+	if err != nil {
+		panic(fmt.Sprintf("exp: corpusmem: %v", err))
+	}
+	for _, p := range gc.Pages {
+		if err := w.WritePage(seed.Document{ID: p.ID, HTML: p.HTML}); err != nil {
+			panic(fmt.Sprintf("exp: corpusmem: %v", err))
+		}
+	}
+	if err := w.Close(); err != nil {
+		panic(fmt.Sprintf("exp: corpusmem: %v", err))
+	}
+	return dir
 }
 
 func mib(b uint64) string { return fmt.Sprintf("%.1f", float64(b)/(1<<20)) }

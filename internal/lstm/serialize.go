@@ -61,7 +61,7 @@ const wireVersion = 1
 // order, and those ids appear in the encoded stream. Encoding a zero value
 // here pins modelWire's ids at package init, so saved model bytes (and the
 // content fingerprints built on them) never depend on which other code used
-// gob first in the process — e.g. checkpoint or spill-shard encoding.
+// gob first in the process — e.g. checkpoint or shard-entry encoding.
 func init() { _ = gob.NewEncoder(io.Discard).Encode(modelWire{}) }
 
 // Save writes the trained network to w in a versioned gob format.

@@ -134,8 +134,10 @@ func RunContext(ctx context.Context, c Corpus, cfg Config) (*Result, error) {
 
 // RunSource executes the full bootstrapping pipeline over a streaming corpus
 // under ctx. The corpus is read in two passes through the Source iterator
-// and never materialised in memory; combined with Config.Spill, the run's
-// resident memory is bounded by its working set, not by corpus size. Output
+// and never materialised in memory; combined with Config.Spill, which spills
+// the prepared corpus as one entry per corpus shard, the run's resident
+// memory is bounded by its working set — one shard's prepared sentences, so
+// `paegen -shard-size` sets the bound — not by corpus size. Output
 // is byte-identical to RunContext over the same document sequence, for every
 // on-disk shard geometry and every Parallelism value. The caller retains
 // ownership of the Source and closes it after the run.
