@@ -109,11 +109,11 @@ title-smoke:
 	PAE_TITLE_SMOKE=1 $(GO) test -count=1 -run 'TestTitleSmoke' -v ./cmd/paeserve
 
 ## loop-smoke is the end-to-end production-loop check through real binaries:
-## paegen grows a checkpointed corpus, paepromote -train bootstraps the live
-## bundle, a two-backend fleet serves it behind paerouter, and paepromote
-## then (a) REJECTS a sabotaged candidate — the fleet keeps its fingerprint —
-## and (b) after paegen -append grows the corpus, incrementally retrains
-## (reusing checkpointed shards) and PROMOTES the clean candidate via each
+## paegen writes a corpus, paerun -checkpoint bootstraps the live bundle, a
+## two-backend fleet serves it behind paerouter, and paepromote then (a)
+## REJECTS a sabotaged candidate — the fleet keeps its fingerprint — and (b)
+## after paegen -append grows the corpus and paerun -incremental retrains
+## (reusing checkpointed shards), PROMOTES the clean candidate via each
 ## backend's hot reload. A closed-loop load runs through both acts and must
 ## see zero failed requests across the swap. Not part of the tier-1 verify
 ## gate; the gate and rollout logic run in-process in internal/promote.

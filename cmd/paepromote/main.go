@@ -1,19 +1,15 @@
-// Command paepromote closes the production loop: it (optionally) retrains a
-// candidate model on a grown corpus, shadow-evaluates it against the live
-// bundle on held-out truth, and only on a non-regressed verdict rolls it
-// across the serving fleet via the router's backend discovery and each
-// backend's hot reload. A rejected candidate leaves the fleet untouched.
+// Command paepromote closes the production loop: it shadow-evaluates a
+// candidate bundle against the live one on held-out truth, and only on a
+// non-regressed verdict rolls it across the serving fleet via the router's
+// backend discovery and each backend's hot reload. A rejected candidate
+// leaves the fleet untouched. Candidates come from paerun (`paerun -corpus
+// ./corpus -checkpoint ./ckpt -incremental -bundle cand.paeb` after a
+// paegen -append); gating without a fleet is `paeinspect diff-bundles`.
 //
 // Usage:
 //
-//	# gate + promote a prebuilt candidate
 //	paepromote -router http://127.0.0.1:8080 -corpus ./corpus \
 //	    -live live.paeb -candidate cand.paeb
-//
-//	# retrain first (incremental when the corpus grew by paegen -append),
-//	# then gate + promote what the run produced
-//	paepromote -router http://127.0.0.1:8080 -corpus ./corpus \
-//	    -live live.paeb -candidate cand.paeb -train -checkpoint ./ckpt -incremental
 //
 // The gate is `paeinspect diff-bundles` as a library (internal/promote):
 // overall and per-attribute precision/coverage deltas against the corpus's
@@ -22,14 +18,12 @@
 // mixed-fingerprint fleet correctly while the roll is in flight — then waits
 // for the router's /fleet view to converge on the candidate fingerprint.
 //
-// Exit status: 0 promoted (or -dry-run with a promote verdict), 1 rejected
-// or failed, 2 usage.
+// Exit status: 0 promoted, 1 rejected or failed, 2 usage.
 package main
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -37,49 +31,29 @@ import (
 	"path/filepath"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/corpus"
-	"repro/internal/crf"
 	"repro/internal/promote"
 )
 
 func main() {
 	var (
-		router     = flag.String("router", "", "fleet router base URL (required unless -dry-run), e.g. http://127.0.0.1:8080")
-		corpusDir  = flag.String("corpus", "corpus", "corpus directory: the training input with -train, always the held-out truth the gate judges on")
-		livePath   = flag.String("live", "", "currently served bundle (.paeb) to diff against (required)")
-		candPath   = flag.String("candidate", "", "candidate bundle (.paeb): the gate's input, or -train's output (required)")
-		train      = flag.Bool("train", false, "bootstrap the candidate from -corpus before gating (writes -candidate)")
-		iters      = flag.Int("iterations", 5, "bootstrap iterations with -train")
-		checkpoint = flag.String("checkpoint", "", "checkpoint directory for -train (enables per-shard reuse)")
-		increment  = flag.Bool("incremental", false, "with -train: re-bootstrap from -checkpoint when the corpus has grown by append")
-		maxPrec    = flag.Float64("max-precision-drop", promote.DefaultTolerance.MaxPrecisionDrop, "largest tolerated absolute precision drop")
-		maxCov     = flag.Float64("max-coverage-drop", promote.DefaultTolerance.MaxCoverageDrop, "largest tolerated absolute coverage drop")
-		jsonOut    = flag.String("json", "", "write the machine-readable diff report to this file")
-		dryRun     = flag.Bool("dry-run", false, "train and gate, but never touch the fleet")
-		timeout    = flag.Duration("timeout", 2*time.Minute, "budget for the fleet rollout (reloads + convergence)")
+		router    = flag.String("router", "", "fleet router base URL (required), e.g. http://127.0.0.1:8080")
+		corpusDir = flag.String("corpus", "corpus", "corpus directory whose planted truth the gate judges on")
+		livePath  = flag.String("live", "", "currently served bundle (.paeb) to diff against (required)")
+		candPath  = flag.String("candidate", "", "candidate bundle (.paeb) to gate and roll out (required)")
+		maxPrec   = flag.Float64("max-precision-drop", promote.DefaultTolerance.MaxPrecisionDrop, "largest tolerated absolute precision drop")
+		maxCov    = flag.Float64("max-coverage-drop", promote.DefaultTolerance.MaxCoverageDrop, "largest tolerated absolute coverage drop")
+		jsonOut   = flag.String("json", "", "write the machine-readable diff report to this file")
+		timeout   = flag.Duration("timeout", 2*time.Minute, "budget for the fleet rollout (reloads + convergence)")
 	)
 	flag.Parse()
-	if *livePath == "" || *candPath == "" {
-		fmt.Fprintln(os.Stderr, "paepromote: -live and -candidate are required")
+	if *router == "" || *livePath == "" || *candPath == "" {
+		fmt.Fprintln(os.Stderr, "paepromote: -router, -live and -candidate are required")
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *router == "" && !*dryRun {
-		fmt.Fprintln(os.Stderr, "paepromote: -router is required (or pass -dry-run)")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *increment && *checkpoint == "" {
-		fatal(errors.New("paepromote: -incremental requires -checkpoint"))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	if *train {
-		trainCandidate(ctx, *corpusDir, *candPath, *iters, *checkpoint, *increment)
-	}
 
 	tol := promote.Tolerance{MaxPrecisionDrop: *maxPrec, MaxCoverageDrop: *maxCov}
 	rep, err := promote.Diff(ctx, *livePath, *candPath, *corpusDir, tol)
@@ -109,10 +83,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("verdict: PROMOTE")
-	if *dryRun {
-		fmt.Println("dry run: skipping the fleet rollout")
-		return
-	}
 
 	// Backends resolve the bundle path themselves, so hand them an absolute
 	// one — the loop runs the fleet on a shared filesystem.
@@ -143,57 +113,6 @@ func main() {
 		fmt.Printf("reloaded %s: %.12s -> %.12s\n", rr.URL, rr.Old, rr.New)
 	}
 	fmt.Printf("promoted: fleet converged on %.12s\n", ro.Fingerprint)
-}
-
-// trainCandidate runs the bootstrap on the corpus and writes the candidate
-// bundle, mirroring `paerun -bundle` with the loop-relevant knobs only.
-func trainCandidate(ctx context.Context, dir, out string, iters int, checkpoint string, incremental bool) {
-	r, err := corpus.Open(dir)
-	if err != nil {
-		fatal(err)
-	}
-	wk, err := r.Manifest.WorkloadKind()
-	if err != nil {
-		fatal(err)
-	}
-	src := r.Source()
-	defer src.Close()
-	cfg := core.Config{
-		Workload:    wk,
-		Iterations:  iters,
-		CRF:         crf.Config{},
-		Checkpoint:  checkpoint,
-		Incremental: incremental,
-	}
-	res, err := core.New(cfg).RunSource(ctx, core.Input{
-		Source: src, Queries: r.Manifest.Queries, Lang: r.Manifest.Lang, Lexicon: r.Manifest.Lexicon,
-	})
-	if err != nil {
-		if errors.Is(err, core.ErrCorpusGrown) {
-			fmt.Fprintf(os.Stderr, "%v\nretry with -incremental to re-bootstrap from the checkpoint\n", err)
-			os.Exit(1)
-		}
-		fatal(err)
-	}
-	if res.WarmStart {
-		fmt.Printf("train: incremental re-bootstrap reused %d checkpointed shards, recomputed %d\n",
-			res.ShardsReused, res.ShardsRecomputed)
-	} else if res.ShardsReused > 0 {
-		fmt.Printf("train: shard cache reused %d shards, recomputed %d\n",
-			res.ShardsReused, res.ShardsRecomputed)
-	}
-	if !res.StopReason.Completed() {
-		fatal(fmt.Errorf("paepromote: training stopped early: %s", res.StopReason))
-	}
-	b, err := res.Bundle()
-	if err != nil {
-		fatal(err)
-	}
-	if err := b.SaveFile(out); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("train: wrote candidate %s (%s, fingerprint %.12s)\n",
-		out, b.Manifest.ModelKind, b.Fingerprint())
 }
 
 func fatal(err error) {

@@ -24,12 +24,12 @@ import (
 
 // TestLoopSmoke is the `make loop-smoke` end-to-end check of the production
 // loop, through real binaries and sockets: paegen grows a corpus, paerun
-// (via paepromote -train) bootstraps on it with a checkpoint, a two-backend
-// fleet serves the result, and paepromote then (a) rejects a sabotaged
-// candidate — the fleet keeps its fingerprint — and (b) after a paegen
-// -append, incrementally retrains (reusing checkpointed shards) and promotes
-// the clean candidate with zero failed requests while a closed-loop load
-// runs through the hot swap. Gated behind PAE_LOOP_SMOKE=1 so it stays
+// bootstraps the live bundle on it with a checkpoint, a two-backend fleet
+// serves the result, and paepromote then (a) rejects a sabotaged candidate —
+// the fleet keeps its fingerprint — and (b) after a paegen -append and an
+// incremental paerun retrain (reusing checkpointed shards), promotes the
+// clean candidate with zero failed requests while a closed-loop load runs
+// through the hot swap. Gated behind PAE_LOOP_SMOKE=1 so it stays
 // outside the tier-1 `go test ./...` run.
 func TestLoopSmoke(t *testing.T) {
 	if os.Getenv("PAE_LOOP_SMOKE") == "" {
@@ -53,6 +53,7 @@ func TestLoopSmoke(t *testing.T) {
 		return bin
 	}
 	paegen := build("paegen", "./cmd/paegen")
+	paerun := build("paerun", "./cmd/paerun")
 	paeserve := build("paeserve", "./cmd/paeserve")
 	paerouter := build("paerouter", "./cmd/paerouter")
 	paepromote := build("paepromote", "./cmd/paepromote")
@@ -83,8 +84,8 @@ func TestLoopSmoke(t *testing.T) {
 	// Grow a corpus and bootstrap the live model on it (checkpointed, so
 	// the later retrain can reuse per-shard work).
 	mustRun(paegen, "-items", "60", "-shard-size", "20", "-seed", "9", "-out", corpusDir)
-	mustRun(paepromote, "-train", "-dry-run", "-corpus", corpusDir, "-checkpoint", ckptDir,
-		"-iterations", "2", "-candidate", livePaeb, "-live", livePaeb)
+	mustRun(paerun, "-corpus", corpusDir, "-checkpoint", ckptDir, "-iterations", "2",
+		"-out", filepath.Join(dir, "live.jsonl"), "-bundle", livePaeb)
 
 	// A two-backend fleet serving the live bundle behind the router.
 	freeAddr := func() string {
@@ -229,21 +230,11 @@ func TestLoopSmoke(t *testing.T) {
 	// labels, so a cheap refresh schedule is the incremental path's whole
 	// economy, and this exercises it through the real binaries.
 	mustRun(paegen, "-append", "-items", "20", "-seed", "77", "-out", corpusDir)
-	reportPath := filepath.Join(dir, "verdict.json")
-	// The 80-page corpus makes per-attribute metrics coarse (one page is
-	// 1.25 coverage points), so the gate gets a noise-sized tolerance; the
-	// sabotaged bundle above fails even the widest sane gate, this clean
-	// retrain passes it.
-	out = mustRun(paepromote, "-router", routerURL, "-corpus", corpusDir,
-		"-train", "-checkpoint", ckptDir, "-iterations", "1", "-incremental",
-		"-max-precision-drop", "8", "-max-coverage-drop", "10",
-		"-live", livePaeb, "-candidate", candPaeb, "-json", reportPath)
-	if !strings.Contains(out, "incremental re-bootstrap reused") {
-		t.Fatalf("retrain did not report shard reuse:\n%s", out)
-	}
+	out = mustRun(paerun, "-corpus", corpusDir, "-checkpoint", ckptDir, "-iterations", "1", "-incremental",
+		"-out", filepath.Join(dir, "cand.jsonl"), "-bundle", candPaeb)
 	var reused, recomputed int
 	for _, line := range strings.Split(out, "\n") {
-		if _, err := fmt.Sscanf(line, "train: incremental re-bootstrap reused %d checkpointed shards, recomputed %d",
+		if _, err := fmt.Sscanf(line, "incremental re-bootstrap: reused %d checkpointed shards, recomputed %d",
 			&reused, &recomputed); err == nil {
 			break
 		}
@@ -251,6 +242,14 @@ func TestLoopSmoke(t *testing.T) {
 	if reused < 1 {
 		t.Fatalf("incremental retrain reused %d shards, want >= 1\n%s", reused, out)
 	}
+	reportPath := filepath.Join(dir, "verdict.json")
+	// The 80-page corpus makes per-attribute metrics coarse (one page is
+	// 1.25 coverage points), so the gate gets a noise-sized tolerance; the
+	// sabotaged bundle above fails even the widest sane gate, this clean
+	// retrain passes it.
+	out = mustRun(paepromote, "-router", routerURL, "-corpus", corpusDir,
+		"-max-precision-drop", "8", "-max-coverage-drop", "10",
+		"-live", livePaeb, "-candidate", candPaeb, "-json", reportPath)
 	if !strings.Contains(out, "PROMOTE") || !strings.Contains(out, "promoted: fleet converged") {
 		t.Fatalf("clean candidate was not promoted:\n%s", out)
 	}

@@ -88,7 +88,9 @@ func EncodeModel(w io.Writer, m tagger.Model) error {
 
 // DecodeModel reads a model previously written by EncodeModel. The reader
 // should be scoped to exactly one encoded model (the model packages' gob
-// decoders buffer reads, so trailing data in r would be consumed).
+// decoders buffer reads, so trailing data in r would be consumed). Every
+// failure wraps ErrCorrupt, or ErrUnknownModel for an unknown kind byte; a
+// model it accepts can tag and encode again.
 func DecodeModel(r io.Reader) (tagger.Model, error) {
 	var kind [1]byte
 	if _, err := io.ReadFull(r, kind[:]); err != nil {
@@ -96,9 +98,9 @@ func DecodeModel(r io.Reader) (tagger.Model, error) {
 	}
 	switch kind[0] {
 	case kindCRF:
-		return crf.Load(r)
+		return corrupt(crf.Load(r))
 	case kindRNN:
-		return lstm.Load(r)
+		return corrupt(lstm.Load(r))
 	case kindEnsemble:
 		var head [2]byte
 		if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -135,4 +137,12 @@ func DecodeModel(r io.Reader) (tagger.Model, error) {
 	default:
 		return nil, fmt.Errorf("%w: kind byte %q", ErrUnknownModel, kind[0])
 	}
+}
+
+// corrupt wraps a model package's load error in ErrCorrupt.
+func corrupt[M tagger.Model](m M, err error) (tagger.Model, error) {
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCorrupt, err)
+	}
+	return m, nil
 }

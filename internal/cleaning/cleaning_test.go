@@ -111,6 +111,23 @@ func driftCorpus() [][]string {
 	return sents
 }
 
+// semanticClean runs SemanticCleanStream over an in-memory corpus.
+func semanticClean(t *testing.T, ts []triples.Triple, sentences [][]string, cfg SemanticConfig) ([]triples.Triple, int) {
+	t.Helper()
+	out, removed, err := SemanticCleanStream(ts, func(yield func([]string) error) error {
+		for _, s := range sentences {
+			if err := yield(s); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, removed
+}
+
 func TestSemanticCleanRemovesDriftedValue(t *testing.T) {
 	ts := []triples.Triple{
 		tr("p1", "color", "red"), tr("p2", "color", "blue"),
@@ -119,7 +136,7 @@ func TestSemanticCleanRemovesDriftedValue(t *testing.T) {
 	}
 	// Subsampling is disabled: the toy corpus is tiny and value-dense, so
 	// the frequency threshold would starve the very words under test.
-	out, removed := SemanticClean(ts, driftCorpus(), SemanticConfig{
+	out, removed := semanticClean(t, ts, driftCorpus(), SemanticConfig{
 		Embedding: word2vec.Config{Dim: 16, Epochs: 8, MinCount: 2, Seed: 2, Subsample: -1},
 	})
 	if removed == 0 {
@@ -144,14 +161,14 @@ func TestSemanticCleanRemovesDriftedValue(t *testing.T) {
 
 func TestSemanticCleanKeepsSmallGroupsUntouched(t *testing.T) {
 	ts := []triples.Triple{tr("p1", "a", "x"), tr("p2", "a", "y")}
-	out, removed := SemanticClean(ts, [][]string{{"x", "y"}}, SemanticConfig{})
+	out, removed := semanticClean(t, ts, [][]string{{"x", "y"}}, SemanticConfig{})
 	if removed != 0 || len(out) != 2 {
 		t.Fatal("groups with <3 embedded values must not be filtered")
 	}
 }
 
 func TestSemanticCleanEmptyInput(t *testing.T) {
-	out, removed := SemanticClean(nil, nil, SemanticConfig{})
+	out, removed := semanticClean(t, nil, nil, SemanticConfig{})
 	if out != nil && len(out) != 0 || removed != 0 {
 		t.Fatal("empty input should be a no-op")
 	}
@@ -162,7 +179,7 @@ func TestSemanticCoreSizeRestriction(t *testing.T) {
 		"a": {1, 0}, "b": {0.9, 0.1}, "c": {0.8, 0.2}, "outlier": {-1, 0},
 	}
 	values := []string{"a", "b", "c", "outlier"}
-	core := SemanticCore(values, vecs, 3)
+	core := semanticCore(values, vecs, 3)
 	if len(core) != 3 {
 		t.Fatalf("core size = %d, want 3", len(core))
 	}
@@ -172,7 +189,7 @@ func TestSemanticCoreSizeRestriction(t *testing.T) {
 		}
 	}
 	// Unrestricted keeps everything embeddable.
-	if got := SemanticCore(values, vecs, 0); len(got) != 4 {
+	if got := semanticCore(values, vecs, 0); len(got) != 4 {
 		t.Fatalf("unrestricted core = %v", got)
 	}
 }

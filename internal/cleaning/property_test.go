@@ -98,12 +98,12 @@ func TestVetoKeepsBenignProperty(t *testing.T) {
 	}
 }
 
-// Property: SemanticClean output is always a subset of its input.
+// Property: SemanticCleanStream output is always a subset of its input.
 func TestSemanticCleanSubsetProperty(t *testing.T) {
 	sentences := driftCorpus()
 	f := func(seed uint64) bool {
 		in := genTriples(seed)
-		out, removed := SemanticClean(in, sentences, SemanticConfig{})
+		out, removed := semanticClean(t, in, sentences, SemanticConfig{})
 		return len(out)+removed == len(in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

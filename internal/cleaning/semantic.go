@@ -54,36 +54,17 @@ func (c SemanticConfig) WithDefaults() SemanticConfig {
 	return c
 }
 
-// SemanticClean retrains a word2vec model on the corpus sentences — with
-// each multiword attribute value grouped into a single token, step (i) of
-// §V-C — computes each attribute's semantic core, and removes triples whose
-// value drifted away from it. It returns the survivors and the number of
-// removed triples.
+// SemanticCleanStream retrains a word2vec model on the corpus sentences —
+// with each multiword attribute value grouped into a single token, step (i)
+// of §V-C — computes each attribute's semantic core, and removes triples
+// whose value drifted away from it. It returns the survivors and the number
+// of removed triples.
 //
-// sentences is the tokenized page corpus of the current iteration; the
-// function does not mutate it.
-func SemanticClean(ts []triples.Triple, sentences [][]string, cfg SemanticConfig) ([]triples.Triple, int) {
-	out, removed, err := SemanticCleanStream(ts, func(yield func([]string) error) error {
-		for _, s := range sentences {
-			if err := yield(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}, cfg)
-	if err != nil {
-		// An in-memory stream cannot fail; an error here is a programming bug.
-		panic(err)
-	}
-	return out, removed
-}
-
-// SemanticCleanStream is SemanticClean over a replayable sentence stream (the
+// stream replays the tokenized page corpus of the current iteration (the
 // word2vec.SentenceStream contract: every invocation yields the identical
-// sequence). Multiword-value grouping is applied per sentence as it flows by,
-// so the filter holds no per-corpus sentence state — memory is bounded by the
-// embedding model, not the corpus. For the same sentence sequence the kept
-// and removed triples are byte-identical to SemanticClean's.
+// sequence); the filter never mutates its sentences. Multiword-value grouping
+// is applied per sentence as it flows by, so the filter holds no per-corpus
+// sentence state — memory is bounded by the embedding model, not the corpus.
 func SemanticCleanStream(ts []triples.Triple, stream word2vec.SentenceStream, cfg SemanticConfig) ([]triples.Triple, int, error) {
 	cfg = cfg.WithDefaults()
 	if len(ts) == 0 {
@@ -141,13 +122,6 @@ func SemanticCleanStream(ts []triples.Triple, stream word2vec.SentenceStream, cf
 		out = append(out, t)
 	}
 	return out, removed, nil
-}
-
-// SemanticCore exposes the core computation for tests and for the §VIII-B
-// parameter exploration: it returns the n values of the attribute that are
-// most mutually similar (all values when n <= 0).
-func SemanticCore(values []string, vecs map[string][]float64, n int) []string {
-	return semanticCore(values, vecs, n)
 }
 
 // semanticCore iteratively discards the value with the lowest cosine

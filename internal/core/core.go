@@ -821,7 +821,7 @@ func (st *runState) prepStage(ctx context.Context) error {
 				if err := inj.Fire(faultinject.StagePrepWorker); err != nil {
 					return err
 				}
-				pd[i] = splitDoc(st.wk, chunk[i], scfg)
+				pd[i] = seed.Split(st.wk, chunk[i], scfg)
 				return nil
 			}); err != nil {
 				return err
@@ -1189,19 +1189,6 @@ func relabel(ctx context.Context, prep *prepared, current []triples.Triple, scfg
 		return nil, err
 	}
 	return seed.LabelSentencesCtx(ctx, sents, pairs, allowed, scfg, workers)
-}
-
-// splitDoc prepares one document for the given workload: detail pages are
-// HTML-flattened and sentence-split; titles are plain text tokenized as one
-// sentence. Every pass that prepares documents — bootstrap prep here, the
-// serve-time Extractor in internal/extract — goes through the same per-
-// workload split, so training and serving can never disagree about sentence
-// boundaries.
-func splitDoc(wk workload.Kind, d seed.Document, scfg seed.Config) []seed.SentenceOf {
-	if wk.WithDefault() == workload.Title {
-		return seed.SplitTitle(d, scfg)
-	}
-	return seed.SplitDocument(d, scfg)
 }
 
 func filterCandidates(cands []seed.Candidate, keep map[string]bool) []seed.Candidate {

@@ -123,7 +123,7 @@ func TestEdgeMarginalsSumToOne(t *testing.T) {
 func TestViterbiMatchesBruteForce(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		m := tinyModel(seed)
-		// Build a sequence whose featuresAt would not match the hand-set
+		// Build a sequence whose appendFeaturesAt would not match the hand-set
 		// alphabet, so exercise the decoder through model internals.
 		feats := seqFeats(5)
 		_, wantPath := bruteForce(m, feats)
@@ -291,7 +291,7 @@ func TestPredictWithConfidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels, conf := model.(*Model).PredictWithConfidence(tagger.Sequence{
+	labels, conf := model.(*Model).NewDecoder().PredictWithConfidence(tagger.Sequence{
 		Tokens: []string{"weight", "is", "3", "kg", "total"},
 		PoS:    []string{"NN", "PART", "NUM", "UNIT", "NN"},
 	})

@@ -138,8 +138,8 @@ func TestFitGradWorkerFaults(t *testing.T) {
 	}
 }
 
-// TestDecoderMatchesModelPredictions: a minted Decoder must return exactly
-// the labels and confidences the model's own convenience methods would.
+// TestDecoderMatchesModelPredictions: a Decoder reused across sequences must
+// return exactly the labels and confidences a fresh Decoder would.
 func TestDecoderMatchesModelPredictions(t *testing.T) {
 	model, err := Trainer{Config: Config{MaxIter: 20}}.Fit(trainToy(12))
 	if err != nil {
@@ -150,11 +150,11 @@ func TestDecoderMatchesModelPredictions(t *testing.T) {
 	seqs := trainToy(6)
 	for i, seq := range seqs {
 		seq.Labels = nil
-		wantL, wantC := m.PredictWithConfidence(seq)
+		wantL, wantC := m.NewDecoder().PredictWithConfidence(seq)
 		gotL, gotC := d.PredictWithConfidence(seq)
 		for t2 := range wantL {
 			if wantL[t2] != gotL[t2] || wantC[t2] != gotC[t2] {
-				t.Fatalf("seq %d tok %d: decoder (%s %v) vs model (%s %v)",
+				t.Fatalf("seq %d tok %d: reused decoder (%s %v) vs fresh (%s %v)",
 					i, t2, gotL[t2], gotC[t2], wantL[t2], wantC[t2])
 			}
 		}

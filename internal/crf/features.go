@@ -27,16 +27,12 @@ func (c FeatureConfig) withDefaults() FeatureConfig {
 	return c
 }
 
-// featuresAt renders the active feature strings for position t of seq.
-// Strings are interned into integer ids by the trainer; here they are built
-// with cheap prefix codes rather than fmt to keep training passes allocation
-// -light.
-func featuresAt(seq tagger.Sequence, t int, cfg FeatureConfig) []string {
-	return appendFeaturesAt(make([]string, 0, 4*cfg.Window+6), seq, t, cfg)
-}
-
-// appendFeaturesAt is featuresAt into a caller-owned buffer, so per-worker
-// decoders can render features without a fresh slice per position.
+// appendFeaturesAt appends the active feature strings for position t of seq
+// to feats and returns the extended slice. It is the one featurizer: Fit
+// renders its alphabet with it and every Decoder interns its output into
+// feature ids, so training and tagging can never disagree about features.
+// Callers pass a reused buffer, and strings are built with cheap prefix codes
+// rather than fmt, so featurizing allocates only the strings themselves.
 func appendFeaturesAt(feats []string, seq tagger.Sequence, t int, cfg FeatureConfig) []string {
 	n := len(seq.Tokens)
 	feats = append(feats, "w0="+seq.Tokens[t])

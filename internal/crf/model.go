@@ -30,23 +30,6 @@ func (m *Model) Labels() []string { return m.labels }
 // NumFeatures returns the size of the emission feature alphabet.
 func (m *Model) NumFeatures() int { return len(m.featIdx) }
 
-// featureIDs interns the active features of every position of seq,
-// dropping features unseen at training time.
-func (m *Model) featureIDs(seq tagger.Sequence) [][]int {
-	ids := make([][]int, len(seq.Tokens))
-	for t := range seq.Tokens {
-		feats := featuresAt(seq, t, m.cfg.Feature)
-		row := make([]int, 0, len(feats))
-		for _, f := range feats {
-			if id, ok := m.featIdx[f]; ok {
-				row = append(row, id)
-			}
-		}
-		ids[t] = row
-	}
-	return ids
-}
-
 // emissionScores fills dst (len numLabels) with the emission score of every
 // label at a position whose active features are feats.
 func (m *Model) emissionScores(dst []float64, feats []int) {
@@ -69,18 +52,9 @@ func (m *Model) Predict(seq tagger.Sequence) []string {
 	return m.NewDecoder().Predict(seq)
 }
 
-// PredictWithConfidence implements tagger.ConfidenceModel: the Viterbi path
-// plus, per token, the posterior marginal probability of the label the path
-// chose.
-func (m *Model) PredictWithConfidence(seq tagger.Sequence) ([]string, []float64) {
-	return m.NewDecoder().PredictWithConfidence(seq)
-}
-
-// NewPredictor implements tagger.PredictorModel.
+// NewPredictor implements tagger.PredictorModel. The minted Decoder also
+// implements tagger.ConfidenceModel.
 func (m *Model) NewPredictor() tagger.Model { return m.NewDecoder() }
-
-// NewConfidencePredictor implements tagger.ConfidencePredictorModel.
-func (m *Model) NewConfidencePredictor() tagger.ConfidenceModel { return m.NewDecoder() }
 
 // Decoder decodes sequences against a trained model with reusable Viterbi
 // and forward–backward buffers, so the steady-state tagging loop allocates

@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 )
 
 // modelWire is the serialised form of a Model. Only exported fields cross
@@ -21,6 +20,11 @@ type modelWire struct {
 }
 
 const wireVersion = 1
+
+// maxLoadWindow bounds the feature window Load accepts. Featurizing renders
+// 2·Window+1 offsets per token, so an unbounded window would let a tiny
+// model stall every Predict; 1024 is far wider than any useful context.
+const maxLoadWindow = 1024
 
 // gob allocates wire type ids from a process-global counter in first-use
 // order, and those ids appear in the encoded stream. Encoding a zero value
@@ -63,6 +67,9 @@ func Load(r io.Reader) (*Model, error) {
 	if L == 0 {
 		return nil, fmt.Errorf("crf: model has no labels")
 	}
+	if win := w.Config.Feature.Window; win > maxLoadWindow {
+		return nil, fmt.Errorf("crf: corrupt model: feature window %d exceeds %d", win, maxLoadWindow)
+	}
 	if len(w.Emit) != len(w.Features)*L || len(w.Trans) != (L+1)*L {
 		return nil, fmt.Errorf("crf: corrupt model: %d features, %d labels, %d emission and %d transition weights",
 			len(w.Features), L, len(w.Emit), len(w.Trans))
@@ -75,34 +82,20 @@ func Load(r io.Reader) (*Model, error) {
 		emit:     w.Emit,
 		trans:    w.Trans,
 	}
+	// Save writes features by id, so a repeated string would leave an id
+	// without a feature and fail the re-encode; a repeated label would make
+	// two Viterbi states indistinguishable.
 	for i, l := range w.Labels {
+		if _, dup := m.labelIdx[l]; dup {
+			return nil, fmt.Errorf("crf: corrupt model: duplicate label %q", l)
+		}
 		m.labelIdx[l] = i
 	}
 	for i, f := range w.Features {
+		if _, dup := m.featIdx[f]; dup {
+			return nil, fmt.Errorf("crf: corrupt model: duplicate feature %q", f)
+		}
 		m.featIdx[f] = i
 	}
 	return m, nil
-}
-
-// SaveFile writes the model to path, creating or truncating it.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a model from path.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

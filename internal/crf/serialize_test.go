@@ -2,7 +2,6 @@ package crf
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/tagger"
@@ -62,26 +61,5 @@ func TestLoadRejectsWrongVersion(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(corrupt)); err == nil {
 		t.Log("note: corruption landed in padding; not fatal")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	model, err := Trainer{Config: Config{MaxIter: 10}}.Fit(trainToy(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "model.crf")
-	if err := model.(*Model).SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded.Labels()) != len(model.(*Model).Labels()) {
-		t.Fatal("labels lost in file round trip")
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Fatal("missing file accepted")
 	}
 }

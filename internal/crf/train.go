@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/faultinject"
@@ -106,9 +107,11 @@ func (tr Trainer) Fit(train []tagger.Sequence) (tagger.Model, error) {
 
 	// Build the feature alphabet.
 	featCount := make(map[string]int)
+	var feats []string
 	for _, seq := range train {
 		for t := range seq.Tokens {
-			for _, f := range featuresAt(seq, t, cfg.Feature) {
+			feats = appendFeaturesAt(feats[:0], seq, t, cfg.Feature)
+			for _, f := range feats {
 				featCount[f]++
 			}
 		}
@@ -134,13 +137,19 @@ func (tr Trainer) Fit(train []tagger.Sequence) (tagger.Model, error) {
 	L := len(labels)
 	nParams := len(featIdx)*L + (L+1)*L
 
-	// Encode sequences once.
+	// Encode sequences once, through the Decoder path tagging uses; the
+	// decoder reuses its row buffers, so each kept row is copied out.
+	dec := m.NewDecoder()
 	encoded := make([]*encodedSeq, 0, len(train))
 	for _, seq := range train {
-		if len(seq.Tokens) == 0 {
+		n := len(seq.Tokens)
+		if n == 0 {
 			continue
 		}
-		enc := &encodedSeq{feats: m.featureIDs(seq), labels: make([]int, len(seq.Tokens))}
+		enc := &encodedSeq{feats: make([][]int, n), labels: make([]int, n)}
+		for t, row := range dec.featureIDs(seq) {
+			enc.feats[t] = slices.Clone(row)
+		}
 		for t, l := range seq.Labels {
 			enc.labels[t] = labelIdx[l]
 		}

@@ -90,7 +90,18 @@ func cleanExternally(r *categoryRun, raw []triples.Triple) []triples.Triple {
 	semCfg := cleaning.SemanticConfig{TokenizeValue: func(s string) []string {
 		return text.Texts(tok.Tokenize(s))
 	}}
-	kept, _ = cleaning.SemanticClean(kept, corpusTokens, semCfg)
+	kept, _, err := cleaning.SemanticCleanStream(kept, func(yield func([]string) error) error {
+		for _, s := range corpusTokens {
+			if err := yield(s); err != nil {
+				return err
+			}
+		}
+		return nil
+	}, semCfg)
+	if err != nil {
+		// An in-memory stream cannot fail; an error here is a programming bug.
+		panic(err)
+	}
 	out := append(append([]triples.Triple(nil), r.result.SeedTriples...), kept...)
 	return triples.Dedup(out)
 }

@@ -26,9 +26,10 @@ import (
 type Engine struct {
 	// Model is the trained sequence tagger.
 	Model tagger.Model
-	// MinConfidence, when positive and the model reports confidences, drops
-	// spans whose least-certain token falls below it. Ignored for models
-	// without confidence support (ensembles).
+	// MinConfidence, when positive and the model's predictor reports
+	// confidences (tagger.ConfidenceModel), drops spans whose least-certain
+	// token falls below it. Ignored for predictors without confidence
+	// support (ensembles).
 	MinConfidence float64
 	// Workers bounds the sentence-tagging worker pool; zero means one per
 	// CPU. Per-sentence results merge in sentence order, so the output is
@@ -41,15 +42,14 @@ type Engine struct {
 }
 
 // TagSentences runs the model over every sentence on a bounded worker pool
-// and decodes spans to deduplicated triples. Each worker slot owns a minted
-// predictor (when the model supports it) so the hot Viterbi loop reuses
-// decode buffers; per-sentence triples land in index-addressed slots and
-// merge in sentence order, making the output byte-identical for every worker
-// count. Cancellation is observed between sentences; a worker panic escapes
-// as *par.WorkerPanic for the caller's stage guards.
+// and decodes spans to deduplicated triples. Each worker slot owns one minted
+// predictor (when the model is a tagger.PredictorModel) so the hot Viterbi
+// loop reuses decode buffers; with MinConfidence set, that same predictor is
+// asked for confidences. Per-sentence triples land in index-addressed slots
+// and merge in sentence order, making the output byte-identical for every
+// worker count. Cancellation is observed between sentences; a worker panic
+// escapes as *par.WorkerPanic for the caller's stage guards.
 func (e Engine) TagSentences(ctx context.Context, sents []seed.SentenceOf) ([]triples.Triple, error) {
-	cm, hasConf := e.Model.(tagger.ConfidenceModel)
-	useConf := e.MinConfidence > 0 && hasConf
 	slots := par.Workers(e.Workers)
 	if slots > len(sents) && len(sents) > 0 {
 		slots = len(sents)
@@ -61,11 +61,8 @@ func (e Engine) TagSentences(ctx context.Context, sents []seed.SentenceOf) ([]tr
 		if pm, ok := e.Model.(tagger.PredictorModel); ok {
 			preds[w] = pm.NewPredictor()
 		}
-		if useConf {
-			confPreds[w] = cm
-			if cpm, ok := e.Model.(tagger.ConfidencePredictorModel); ok {
-				confPreds[w] = cpm.NewConfidencePredictor()
-			}
+		if e.MinConfidence > 0 {
+			confPreds[w], _ = preds[w].(tagger.ConfidenceModel)
 		}
 	}
 	perSent := make([][]triples.Triple, len(sents))
@@ -82,13 +79,14 @@ func (e Engine) TagSentences(ctx context.Context, sents []seed.SentenceOf) ([]tr
 		}
 		var labels []string
 		var conf []float64
-		if useConf {
-			labels, conf = confPreds[w].PredictWithConfidence(seq)
+		cp := confPreds[w]
+		if cp != nil {
+			labels, conf = cp.PredictWithConfidence(seq)
 		} else {
 			labels = preds[w].Predict(seq)
 		}
 		for _, sp := range tagger.Spans(labels) {
-			if useConf && SpanMinConf(conf, sp) < e.MinConfidence {
+			if cp != nil && SpanMinConf(conf, sp) < e.MinConfidence {
 				continue
 			}
 			perSent[i] = append(perSent[i], triples.Triple{

@@ -147,6 +147,39 @@ func TestTagSentencesConfidencePastSlice(t *testing.T) {
 	}
 }
 
+// stubPredictorModel reports no confidences itself; the predictor it mints
+// does, scoring the value "5" low.
+type stubPredictorModel struct{ stubModel }
+
+func (stubPredictorModel) NewPredictor() tagger.Model { return stubConfModel{lowFive: 0.1} }
+
+// The engine asks the minted predictor, not the model, for confidences: with
+// MinConfidence set the predictor's low-confidence weight span is dropped,
+// and with MinConfidence 0 it is kept.
+func TestEngineConfidenceFromPredictor(t *testing.T) {
+	sents := sentencesFor(t, "weight is 5 kg", "color is red")
+	for _, tc := range []struct {
+		minConf float64
+		want    []string
+	}{
+		{0.5, []string{"color"}},
+		{0, []string{"weight", "color"}},
+	} {
+		eng := Engine{Model: stubPredictorModel{}, MinConfidence: tc.minConf}
+		got, err := eng.TagSentences(context.Background(), sents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var attrs []string
+		for _, tr := range got {
+			attrs = append(attrs, tr.Attribute)
+		}
+		if !reflect.DeepEqual(attrs, tc.want) {
+			t.Fatalf("MinConfidence %g: attributes %v, want %v", tc.minConf, attrs, tc.want)
+		}
+	}
+}
+
 // Ensembles report no confidences, so MinConfidence must be inert — never a
 // panic, never a dropped span.
 func TestTagSentencesEnsembleIgnoresMinConfidence(t *testing.T) {

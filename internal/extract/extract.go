@@ -184,7 +184,7 @@ func (x *Extractor) extractDoc(ctx context.Context, doc seed.Document) ([]triple
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	sents := x.split(doc)
+	sents := seed.Split(x.wk, doc, x.scfg)
 	tagged, err := x.engine.TagSentences(ctx, sents)
 	if err != nil {
 		return nil, len(sents), err
@@ -250,7 +250,7 @@ func (x *Extractor) extractSource(ctx context.Context, src corpus.Source) ([]tri
 	pages, err := corpus.ForEachChunk(src, batchChunk, func(chunk []seed.Document, _ int) error {
 		pd := perDoc[:len(chunk)]
 		if err := par.ForEach(ctx, x.workers, len(chunk), func(i int) error {
-			pd[i] = x.split(chunk[i])
+			pd[i] = seed.Split(x.wk, chunk[i], x.scfg)
 			return nil
 		}); err != nil {
 			return err
@@ -278,16 +278,6 @@ func (x *Extractor) extractSource(ctx context.Context, src corpus.Source) ([]tri
 	kept, stats := cleaning.ApplyVetoFor(x.wk, triples.Dedup(tagged), x.veto)
 	x.rec.Add("extract.veto_killed", int64(stats.Removed()))
 	return kept, pages, sentCount, nil
-}
-
-// split prepares one document for the bundle's workload — the serve-time
-// mirror of core's per-workload prep, so a bundle always splits documents the
-// way its training run did.
-func (x *Extractor) split(doc seed.Document) []seed.SentenceOf {
-	if x.wk == workload.Title {
-		return seed.SplitTitle(doc, x.scfg)
-	}
-	return seed.SplitDocument(doc, x.scfg)
 }
 
 // String summarises the extractor for logs.

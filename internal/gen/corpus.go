@@ -110,23 +110,13 @@ func (c *Corpus) Canon(attr string) string {
 
 // Generate renders the full synthetic corpus for one category.
 func Generate(cat Category, opt Options) *Corpus {
-	c, err := GenerateCtx(context.Background(), cat, opt)
+	c, err := GenerateStreamCtx(context.Background(), cat, opt, nil)
 	if err != nil {
 		// Only a canceled context or an armed fault injector can fail
 		// generation, and Generate supplies neither.
 		panic(err)
 	}
 	return c
-}
-
-// GenerateCtx is Generate with cancellation: page synthesis runs on a bounded
-// worker pool (Options.Workers) and stops early when ctx is canceled or the
-// fault injector fires. Every page renders from its own RNG stream whose seed
-// is drawn sequentially before the pool starts, and per-page truth, domain
-// values, and HTML are merged back in page order, so the corpus is
-// byte-identical for every worker count.
-func GenerateCtx(ctx context.Context, cat Category, opt Options) (*Corpus, error) {
-	return GenerateStreamCtx(ctx, cat, opt, nil)
 }
 
 // PageResult is one rendered page together with its planted truth judgments,
@@ -144,9 +134,10 @@ const genChunk = 256
 // GenerateStreamCtx renders the corpus in bounded-memory chunks, invoking
 // emit once per page in page order — the streaming entry point paegen uses
 // to write shards without ever materialising the whole corpus. Pages render
-// concurrently inside each chunk (Options.Workers), but every per-page draw
-// happens up front on the corpus RNG stream, so the emitted pages are
-// byte-identical to Generate's for every worker count and chunking.
+// concurrently inside each chunk (Options.Workers); generation stops with
+// the error when ctx is canceled or the fault injector fires. Every per-page
+// draw happens up front on the corpus RNG stream, so the corpus is
+// byte-identical for every worker count and chunking.
 //
 // The emit callback also receives each page's truth judgments, so callers
 // can stream them to a sidecar; the same judgments accumulate in the

@@ -49,13 +49,13 @@ func TestGenerateCtxFaults(t *testing.T) {
 	inj := faultinject.New(faultinject.Fault{
 		Stage: faultinject.StageGenPage, Call: 1, Kind: faultinject.Error,
 	})
-	if _, err := GenerateCtx(context.Background(), Tennis(), opt(inj)); !errors.Is(err, faultinject.ErrInjected) {
+	if _, err := GenerateStreamCtx(context.Background(), Tennis(), opt(inj), nil); !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("injected error not surfaced: %v", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := GenerateCtx(ctx, Tennis(), opt(nil)); !errors.Is(err, context.Canceled) {
+	if _, err := GenerateStreamCtx(ctx, Tennis(), opt(nil), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled context not surfaced: %v", err)
 	}
 
@@ -72,6 +72,6 @@ func TestGenerateCtxFaults(t *testing.T) {
 	inj = faultinject.New(faultinject.Fault{
 		Stage: faultinject.StageGenPage, Call: 1, Kind: faultinject.Panic,
 	})
-	GenerateCtx(context.Background(), Tennis(), opt(inj))
+	GenerateStreamCtx(context.Background(), Tennis(), opt(inj), nil)
 	t.Fatal("expected panic")
 }

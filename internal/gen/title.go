@@ -32,7 +32,7 @@ const lexiconDrawsPerAttr = 10
 
 // GenerateTitles renders the synthetic title corpus for one category.
 func GenerateTitles(cat Category, opt Options) *Corpus {
-	c, err := GenerateTitlesCtx(context.Background(), cat, opt)
+	c, err := GenerateTitlesStreamCtx(context.Background(), cat, opt, nil)
 	if err != nil {
 		// Only a canceled context or an armed fault injector can fail
 		// generation, and GenerateTitles supplies neither.
@@ -41,16 +41,10 @@ func GenerateTitles(cat Category, opt Options) *Corpus {
 	return c
 }
 
-// GenerateTitlesCtx is GenerateTitles with cancellation; see
-// GenerateTitlesStreamCtx for the determinism contract.
-func GenerateTitlesCtx(ctx context.Context, cat Category, opt Options) (*Corpus, error) {
-	return GenerateTitlesStreamCtx(ctx, cat, opt, nil)
-}
-
 // GenerateTitlesStreamCtx renders the title corpus in bounded-memory chunks,
 // invoking emit once per title in document order — the streaming entry point
-// `paegen -workload title` uses. The determinism contract matches
-// GenerateStreamCtx: every per-title draw (and the lexicon, drawn first)
+// `paegen -workload title` uses. The cancellation and determinism contracts
+// match GenerateStreamCtx: every per-title draw (and the lexicon, drawn first)
 // happens up front on the corpus RNG stream, so the corpus is byte-identical
 // for every Workers value and chunking. With a non-nil emit, Corpus.Pages
 // stays nil; truth, domains, queries and the lexicon always ride the

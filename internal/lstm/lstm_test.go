@@ -76,7 +76,7 @@ func TestProbabilitiesAreDistributions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs := model.(*Model).Probabilities(tagger.Sequence{Tokens: []string{"weight", "is", "9", "kg"}})
+	probs := model.(*Model).forwardProbs([]string{"weight", "is", "9", "kg"}, nil)
 	for t2, row := range probs {
 		var sum float64
 		for _, p := range row {
@@ -114,8 +114,8 @@ func TestTrainingDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := tagger.Sequence{Tokens: []string{"weight", "is", "2", "kg"}}
-	pa := a.(*Model).Probabilities(seq)
-	pb := b.(*Model).Probabilities(seq)
+	pa := a.(*Model).forwardProbs(seq.Tokens, nil)
+	pb := b.(*Model).forwardProbs(seq.Tokens, nil)
 	for i := range pa {
 		for j := range pa[i] {
 			if pa[i][j] != pb[i][j] {

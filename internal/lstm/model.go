@@ -145,28 +145,8 @@ func (m *Model) tokenRep(w string) (rep []float64, fwdSteps, bwdSteps []step, ch
 // Predict implements tagger.Model: per-token argmax over the softmax output,
 // as in NeuroNER's demo configuration.
 func (m *Model) Predict(seq tagger.Sequence) []string {
-	n := len(seq.Tokens)
-	out := make([]string, n)
-	if n == 0 {
-		return out
-	}
-	probs := m.forwardProbs(seq.Tokens, nil)
-	for t := 0; t < n; t++ {
-		best, arg := -1.0, 0
-		for y, p := range probs[t] {
-			if p > best {
-				best, arg = p, y
-			}
-		}
-		out[t] = m.labels[arg]
-	}
-	return out
-}
-
-// Probabilities returns the per-token label distribution, exposed for the
-// pipeline's confidence heuristics and for tests.
-func (m *Model) Probabilities(seq tagger.Sequence) [][]float64 {
-	return m.forwardProbs(seq.Tokens, nil)
+	labels, _ := m.PredictWithConfidence(seq)
+	return labels
 }
 
 // PredictWithConfidence implements tagger.ConfidenceModel: the argmax labels

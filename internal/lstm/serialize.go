@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 
 	"repro/internal/mat"
 )
@@ -128,6 +127,15 @@ func Load(r io.Reader) (*Model, error) {
 		len(w.Out) != w.OutRows*w.OutCols || len(w.OutB) != len(w.Labels) {
 		return nil, fmt.Errorf("lstm: corrupt model parameters")
 	}
+	// Each part's own shape is not enough: Predict chains them, so they must
+	// fit together exactly as Fit builds them.
+	hc, hw := cfg.CharHidden, cfg.WordHidden
+	if cf.din != cfg.CharDim || cf.h != hc || cb.din != cfg.CharDim || cb.h != hc ||
+		wf.din != cfg.WordDim+2*hc || wf.h != hw || wb.din != cfg.WordDim+2*hc || wb.h != hw ||
+		w.OutRows != len(w.Labels) || w.OutCols != 2*hw ||
+		w.WordEmbNR != len(w.Words)+1 || w.CharEmbNR != len(w.Chars)+1 {
+		return nil, fmt.Errorf("lstm: corrupt model: layer shapes do not fit together")
+	}
 	m := &Model{
 		cfg:       cfg,
 		labels:    w.Labels,
@@ -140,37 +148,25 @@ func Load(r io.Reader) (*Model, error) {
 		out:  mat.FromSlice(w.OutRows, w.OutCols, w.Out),
 		outB: w.OutB,
 	}
+	// Save writes each vocabulary by id, so a repeated entry would leave an
+	// id without a word and fail the re-encode.
 	for i, l := range w.Labels {
+		if _, dup := m.labelIdx[l]; dup {
+			return nil, fmt.Errorf("lstm: corrupt model: duplicate label %q", l)
+		}
 		m.labelIdx[l] = i
 	}
 	for i, s := range w.Words {
+		if _, dup := m.wordVocab[s]; dup {
+			return nil, fmt.Errorf("lstm: corrupt model: duplicate word %q", s)
+		}
 		m.wordVocab[s] = i + 1
 	}
 	for i, r := range w.Chars {
+		if _, dup := m.charVocab[r]; dup {
+			return nil, fmt.Errorf("lstm: corrupt model: duplicate char %q", r)
+		}
 		m.charVocab[r] = i + 1
 	}
 	return m, nil
-}
-
-// SaveFile writes the network to path.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := m.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a network from path.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

@@ -3,7 +3,6 @@ package lstm
 import (
 	"bytes"
 	"math"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/tagger"
@@ -23,8 +22,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := tagger.Sequence{Tokens: []string{"weight", "is", "7", "kg"}}
-	pa := model.(*Model).Probabilities(seq)
-	pb := loaded.Probabilities(seq)
+	pa := model.(*Model).forwardProbs(seq.Tokens, nil)
+	pb := loaded.forwardProbs(seq.Tokens, nil)
 	for i := range pa {
 		for j := range pa[i] {
 			if math.Abs(pa[i][j]-pb[i][j]) > 1e-15 {
@@ -39,11 +38,11 @@ func TestSaveLoadFilePreservesOOVHandling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "model.lstm")
-	if err := model.(*Model).SaveFile(path); err != nil {
+	var buf bytes.Buffer
+	if err := model.(*Model).Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadFile(path)
+	loaded, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

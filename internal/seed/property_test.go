@@ -118,7 +118,7 @@ func TestGenerateTrainingSetLabelsValidProperty(t *testing.T) {
 		for _, c := range cands {
 			known[normalize(c.Value)] = true
 		}
-		for _, s := range GenerateTrainingSet(docs, cands, Config{}) {
+		for _, s := range trainingSet(t, docs, cands, Config{}) {
 			if len(s.Labels) != len(s.Tokens) {
 				return false
 			}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/pos"
 	"repro/internal/tagger"
 	"repro/internal/text"
+	"repro/internal/workload"
 )
 
 // Document is one product page as the pipeline sees it.
@@ -366,9 +367,20 @@ type SentenceOf struct {
 	PoS    []pos.Tag
 }
 
-// SplitDocument flattens a document's HTML and returns its tokenized
-// sentences. It is shared by training-set generation and by the bootstrap
-// tagger.
+// Split prepares one document for the given workload: detail pages are
+// HTML-flattened and sentence-split (SplitDocument); titles are plain text
+// tokenized as one sentence (SplitTitle). Every pass that prepares documents
+// — the bootstrap's prep stage and the serve-time Extractor — goes through
+// it, so training and serving can never disagree about sentence boundaries.
+func Split(wk workload.Kind, d Document, cfg Config) []SentenceOf {
+	if wk.WithDefault() == workload.Title {
+		return SplitTitle(d, cfg)
+	}
+	return SplitDocument(d, cfg)
+}
+
+// SplitDocument flattens a detail page's HTML and returns its tokenized
+// sentences.
 func SplitDocument(d Document, cfg Config) []SentenceOf {
 	cfg = cfg.WithDefaults()
 	txt := htmlx.ExtractText(d.HTML)
@@ -493,45 +505,15 @@ func (m *valueMatcher) label(sent SentenceOf, allowed map[string]bool) []string 
 	return labels
 }
 
-// GenerateTrainingSet produces the initial labeled dataset (Figure 1, line
-// 5): only documents that contributed dictionary-table candidates are
-// labeled, by tagging every occurrence of a seed value with its attribute.
-func GenerateTrainingSet(docs []Document, seedCands []Candidate, cfg Config) []tagger.Sequence {
-	cfg = cfg.WithDefaults()
-	seedDocs := make(map[string]bool)
-	for _, c := range seedCands {
-		if c.DocID != "" {
-			seedDocs[c.DocID] = true
-		}
-	}
-	matcher := newValueMatcher(seedCands, cfg)
-	var out []tagger.Sequence
-	for _, d := range docs {
-		if !seedDocs[d.ID] {
-			continue
-		}
-		for _, sent := range SplitDocument(d, cfg) {
-			labels := matcher.label(sent, nil)
-			out = append(out, toSequence(sent, labels))
-		}
-	}
-	return out
-}
-
-// LabelSentences tags arbitrary sentences with a pair set, used by the
-// bootstrap loop to rebuild the training set from cleaned triples. allowed,
-// when non-nil, restricts labeling per document: it maps a document ID to
-// the set of permitted attr+"\x00"+normalisedValue keys for that document.
-func LabelSentences(sents []SentenceOf, pairs []Candidate, allowed map[string]map[string]bool, cfg Config) []tagger.Sequence {
-	out, _ := LabelSentencesCtx(nil, sents, pairs, allowed, cfg, 1)
-	return out
-}
-
-// LabelSentencesCtx is LabelSentences over a bounded worker pool. Each
-// sentence's labels land in its own output slot, so the result is identical
-// for every workers value (zero means one worker per CPU); the matcher is
-// read-only after construction and safe to share. The context, when non-nil,
-// cancels mid-corpus labeling.
+// LabelSentencesCtx tags every occurrence of a pair's value with its
+// attribute. On the seed documents' sentences with the seed pairs it
+// produces the initial labeled dataset (Figure 1, line 5); on the corpus
+// with the cleaned triples it rebuilds each iteration's training set.
+// allowed, when non-nil, restricts labeling per document: it maps a document
+// ID to the set of permitted attr+"\x00"+normalisedValue keys for it.
+// Sentences fan out over a bounded worker pool into their own output slots,
+// so the result is identical for every workers value (zero means one per
+// CPU). The context, when non-nil, cancels mid-corpus labeling.
 func LabelSentencesCtx(ctx context.Context, sents []SentenceOf, pairs []Candidate, allowed map[string]map[string]bool, cfg Config, workers int) ([]tagger.Sequence, error) {
 	cfg = cfg.WithDefaults()
 	matcher := newValueMatcher(pairs, cfg)

@@ -1,6 +1,7 @@
 package seed
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -165,11 +166,39 @@ func TestPairsDedup(t *testing.T) {
 	}
 }
 
+// labelSentences runs LabelSentencesCtx on one worker.
+func labelSentences(tb testing.TB, sents []SentenceOf, pairs []Candidate, allowed map[string]map[string]bool, cfg Config) []tagger.Sequence {
+	tb.Helper()
+	seqs, err := LabelSentencesCtx(context.Background(), sents, pairs, allowed, cfg, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return seqs
+}
+
+// trainingSet builds the initial labeled dataset the way the bootstrap's
+// prep stage does: the sentences of the documents that contributed seed
+// candidates, labeled with those candidates.
+func trainingSet(tb testing.TB, docs []Document, cands []Candidate, cfg Config) []tagger.Sequence {
+	tb.Helper()
+	seedDocs := make(map[string]bool)
+	for _, c := range cands {
+		seedDocs[c.DocID] = true
+	}
+	var sents []SentenceOf
+	for _, d := range docs {
+		if seedDocs[d.ID] {
+			sents = append(sents, SplitDocument(d, cfg)...)
+		}
+	}
+	return labelSentences(tb, sents, cands, nil, cfg)
+}
+
 func TestGenerateTrainingSetLabelsSeedOccurrences(t *testing.T) {
 	html := `<html><body><p>重量は2kgです。</p><table><tr><th>重量</th><td>2kg</td></tr><tr><th>色</th><td>レッド</td></tr></table></body></html>`
 	docs := []Document{doc("p1", html), doc("p2", "<p>重量は2kgです。</p>")}
 	cands := DiscoverCandidates(docs)
-	seqs := GenerateTrainingSet(docs, cands, Config{})
+	seqs := trainingSet(t, docs, cands, Config{})
 	if len(seqs) == 0 {
 		t.Fatal("no sequences")
 	}
@@ -196,7 +225,7 @@ func TestLabelSentencesMultiToken(t *testing.T) {
 	cfg := Config{}.WithDefaults()
 	sents := SplitDocument(doc("p1", "<p>シャッタースピードは1/4000秒〜30秒です。</p>"), cfg)
 	pairs := []Candidate{{Attr: "シャッタースピード", Value: "1/4000秒〜30秒"}}
-	seqs := LabelSentences(sents, pairs, nil, cfg)
+	seqs := labelSentences(t, sents, pairs, nil, cfg)
 	var got string
 	for _, s := range seqs {
 		for _, sp := range tagger.Spans(s.Labels) {
@@ -214,7 +243,7 @@ func TestLabelSentencesAllowedFilter(t *testing.T) {
 	pairs := []Candidate{{Attr: "重量", Value: "2kg"}}
 	// Allowed set for a different document: nothing may be labeled.
 	allowed := map[string]map[string]bool{"other": {"重量\x002kg": true}}
-	seqs := LabelSentences(sents, pairs, allowed, cfg)
+	seqs := labelSentences(t, sents, pairs, allowed, cfg)
 	for _, s := range seqs {
 		if len(tagger.Spans(s.Labels)) != 0 {
 			t.Fatal("label leaked past allowed filter")
@@ -222,7 +251,7 @@ func TestLabelSentencesAllowedFilter(t *testing.T) {
 	}
 	// Allowed for p1: the span appears.
 	allowed = map[string]map[string]bool{"p1": {"重量\x002kg": true}}
-	seqs = LabelSentences(sents, pairs, allowed, cfg)
+	seqs = labelSentences(t, sents, pairs, allowed, cfg)
 	var n int
 	for _, s := range seqs {
 		n += len(tagger.Spans(s.Labels))
@@ -239,7 +268,7 @@ func TestLongestMatchWins(t *testing.T) {
 		{Attr: "重量", Value: "5kg"},
 		{Attr: "重量", Value: "2.5kg"},
 	}
-	seqs := LabelSentences(sents, pairs, nil, cfg)
+	seqs := labelSentences(t, sents, pairs, nil, cfg)
 	var got string
 	for _, s := range seqs {
 		for _, sp := range tagger.Spans(s.Labels) {

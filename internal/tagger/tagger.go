@@ -65,20 +65,12 @@ type ConfidenceModel interface {
 // reusable decode buffers. The parallel tagging stage gives each worker its
 // own predictor, so the hot decode loop allocates nothing per sentence while
 // the shared model weights stay read-only. A minted predictor must return
-// exactly the labels the model itself would.
+// exactly the labels the model itself would; when it also implements
+// ConfidenceModel, the tagging stage asks it for confidences.
 type PredictorModel interface {
 	Model
 	// NewPredictor returns a predictor for use by a single goroutine.
 	NewPredictor() Model
-}
-
-// ConfidencePredictorModel is the confidence-reporting analogue of
-// PredictorModel.
-type ConfidencePredictorModel interface {
-	ConfidenceModel
-	// NewConfidencePredictor returns a confidence-reporting predictor for
-	// use by a single goroutine.
-	NewConfidencePredictor() ConfidenceModel
 }
 
 // Begin returns the B- label for an attribute.

@@ -8,7 +8,7 @@ func BenchmarkTrain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := Train(corpus, cfg)
+		m := train(b, corpus, cfg)
 		if m.VocabSize() == 0 {
 			b.Fatal("empty model")
 		}
@@ -16,7 +16,7 @@ func BenchmarkTrain(b *testing.B) {
 }
 
 func BenchmarkSimilarity(b *testing.B) {
-	m := Train(syntheticCorpus(200, 1), Config{Dim: 32, Epochs: 2})
+	m := train(b, syntheticCorpus(200, 1), Config{Dim: 32, Epochs: 2})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

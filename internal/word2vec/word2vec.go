@@ -77,36 +77,14 @@ type Model struct {
 // materialising every sentence in memory.
 type SentenceStream func(yield func(tokens []string) error) error
 
-// sliceStream adapts an in-memory corpus to SentenceStream.
-func sliceStream(sentences [][]string) SentenceStream {
-	return func(yield func([]string) error) error {
-		for _, s := range sentences {
-			if err := yield(s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// Train builds a vocabulary from sentences and fits skip-gram embeddings.
-// It returns a model with an empty vocabulary (but usable API) when the
-// corpus has no word meeting MinCount.
-func Train(sentences [][]string, cfg Config) *Model {
-	m, err := TrainStream(sliceStream(sentences), cfg)
-	if err != nil {
-		// A slice stream cannot fail; an error here is a programming bug.
-		panic(err)
-	}
-	return m
-}
-
-// TrainStream is Train over a replayable sentence stream: the vocabulary
-// pass and the corpus-encoding pass each stream the sentences once, so the
-// only per-corpus state held in memory is the id-encoded corpus (one int per
-// in-vocabulary token — an order of magnitude smaller than the string form,
-// and the minimum the shuffled multi-epoch SGD below can work from). For the
-// same sentence sequence it produces a model byte-identical to Train's.
+// TrainStream builds a vocabulary from a replayable sentence stream and fits
+// skip-gram embeddings. The vocabulary pass and the corpus-encoding pass each
+// stream the sentences once, so the only per-corpus state held in memory is
+// the id-encoded corpus (one int per in-vocabulary token — an order of
+// magnitude smaller than the string form, and the minimum the shuffled
+// multi-epoch SGD below can work from). It returns a model with an empty
+// vocabulary (but usable API) when the corpus has no word meeting MinCount,
+// and the stream's error when a replay fails.
 func TrainStream(stream SentenceStream, cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
 	counts := make(map[string]int)
