@@ -128,6 +128,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzTitleSeed -fuzztime=$(FUZZTIME) ./internal/seed
 	$(GO) test -run=^$$ -fuzz=FuzzLex -fuzztime=$(FUZZTIME) ./internal/htmlx
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeModel -fuzztime=$(FUZZTIME) ./internal/bundle
+	$(GO) test -run=^$$ -fuzz=FuzzLoadBundle -fuzztime=$(FUZZTIME) ./internal/bundle
 	$(GO) test -run=^$$ -fuzz=FuzzShardEntry -fuzztime=$(FUZZTIME) ./internal/core
 
 clean:

@@ -106,7 +106,6 @@ func main() {
 		AllowMixedFingerprints: *mixed,
 		Obs:                    rec,
 		Traces:                 traces,
-		Logger:                 logger,
 	})
 	if err != nil {
 		fatal(err)

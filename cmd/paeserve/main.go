@@ -33,7 +33,8 @@
 // hot-reloads the bundle from disk with zero downtime, SIGINT/SIGTERM flips
 // /healthz to draining, waits -drain-notice for health checkers to notice,
 // then drains in-flight requests before exiting, and -debug-addr serves
-// /debug/pprof, /debug/vars and the live span tree at /debug/obs.
+// /debug/pprof, /debug/vars and the live counters and histograms at
+// /debug/obs. With -v each request also logs one serve.request line.
 package main
 
 import (
@@ -78,9 +79,7 @@ func main() {
 		level = slog.LevelDebug
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	// Serving is a long-lived steady state, not a run: skip the per-event
-	// runtime MemStats sampling so request spans stay cheap.
-	rec := obs.New(obs.Options{Logger: logger, NoRuntimeStats: true})
+	rec := obs.New(obs.Options{Logger: logger})
 
 	if *corpusDir != "" {
 		x, err := extract.Open(*bundlePath, extract.Options{Workers: *workers, Obs: rec})
@@ -90,7 +89,6 @@ func main() {
 		if err := extractCorpus(x, *corpusDir, *batchOut, logger); err != nil {
 			fatal(err)
 		}
-		x.Close()
 		return
 	}
 
@@ -170,7 +168,6 @@ func main() {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fatal(err)
 	}
-	s.Close()
 	logger.Info("drained; bye")
 }
 

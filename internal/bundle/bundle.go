@@ -447,51 +447,49 @@ func Load(r io.Reader) (*Bundle, error) {
 
 // LoadFile reads a bundle from path.
 func LoadFile(path string) (*Bundle, error) {
+	b, _, err := LoadFileInfo(path)
+	return b, err
+}
+
+// LoadFileInfo reads a bundle from path together with the FileInfo Stat
+// would report for it, from one read and one hash of the file — what a
+// server needs to serve a bundle and describe it.
+func LoadFileInfo(path string) (*Bundle, *FileInfo, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	b, err := decode(raw)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	f, err := parse(raw)
+	if err == nil {
+		var b *Bundle
+		if b, err = f.bundle(); err == nil {
+			return b, f.info, nil
+		}
 	}
-	return b, nil
+	return nil, nil, fmt.Errorf("%s: %w", path, err)
 }
 
 func decode(raw []byte) (*Bundle, error) {
-	head, err := parseHeader(raw)
+	f, err := parse(raw)
 	if err != nil {
 		return nil, err
 	}
-	body := raw[:len(raw)-sha256.Size]
-	sum := sha256.Sum256(body)
-	if !bytes.Equal(sum[:], raw[len(raw)-sha256.Size:]) {
-		return nil, fmt.Errorf("%w: content hash does not match trailer", ErrFingerprint)
-	}
-	m, err := decodeManifest(head.manifest, head.version)
-	if err != nil {
-		return nil, err
-	}
-	model, err := DecodeModel(bytes.NewReader(head.model))
-	if err != nil {
-		return nil, err
-	}
-	return &Bundle{
-		Manifest:    *m,
-		Model:       model,
-		fingerprint: hex.EncodeToString(sum[:]),
-	}, nil
+	return f.bundle()
 }
 
-// header is the parsed section layout of a bundle file.
-type header struct {
-	version         int
-	manifest, model []byte
+// file is a bundle file whose layout and fingerprint trailer are verified
+// and whose manifest is decoded; the model section is sliced, not decoded.
+// info is a separate allocation so a caller keeping it does not keep the
+// file's bytes alive through model.
+type file struct {
+	info  *FileInfo
+	model []byte
 }
 
-// parseHeader validates magic + version and slices out the two sections.
-// raw must include the fingerprint trailer (it is not verified here).
-func parseHeader(raw []byte) (*header, error) {
+// parse validates magic and version, slices out the two sections, checks
+// the fingerprint trailer, and decodes the manifest — the shared front half
+// of Load and Stat.
+func parse(raw []byte) (*file, error) {
 	if len(raw) < len(magic)+4+sha256.Size {
 		return nil, fmt.Errorf("%w: file too short (%d bytes)", ErrCorrupt, len(raw))
 	}
@@ -502,8 +500,8 @@ func parseHeader(raw []byte) (*header, error) {
 	if version < schemaV1 || version > SchemaVersion {
 		return nil, &VersionError{Got: version, Want: SchemaVersion}
 	}
-	rest := raw[8 : len(raw)-sha256.Size]
-	manifest, rest, err := readSection(rest)
+	body := raw[:len(raw)-sha256.Size]
+	manifest, rest, err := readSection(body[8:])
 	if err != nil {
 		return nil, fmt.Errorf("manifest %w", err)
 	}
@@ -514,61 +512,57 @@ func parseHeader(raw []byte) (*header, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes after model section", ErrCorrupt, len(rest))
 	}
-	return &header{version: version, manifest: manifest, model: model}, nil
+	sum := sha256.Sum256(body)
+	if !bytes.Equal(sum[:], raw[len(body):]) {
+		return nil, fmt.Errorf("%w: content hash does not match trailer", ErrFingerprint)
+	}
+	m, err := decodeManifest(manifest, version)
+	if err != nil {
+		return nil, err
+	}
+	return &file{model: model, info: &FileInfo{
+		Manifest:      *m,
+		Fingerprint:   hex.EncodeToString(sum[:]),
+		ManifestBytes: int64(len(manifest)),
+		ModelBytes:    int64(len(model)),
+		TotalBytes:    int64(len(raw)),
+	}}, nil
 }
 
+// bundle decodes the model section and checks that the file is the
+// canonical encoding of what it decoded to: re-encoding must reproduce the
+// fingerprint, so one content has exactly one content address. Gob accepts
+// encodings Save never writes (a padded integer, a field the wire struct
+// lacks, a detail-page manifest under schema 2); such a file would carry a
+// second fingerprint for the same model and defeat fingerprint pinning.
+func (f *file) bundle() (*Bundle, error) {
+	model, err := DecodeModel(bytes.NewReader(f.model))
+	if err != nil {
+		return nil, err
+	}
+	b := &Bundle{Manifest: f.info.Manifest, Model: model}
+	if b.Fingerprint() != f.info.Fingerprint {
+		return nil, fmt.Errorf("%w: not the canonical encoding of its content", ErrCorrupt)
+	}
+	return b, nil
+}
+
+// decodeManifest decodes every schema version through the newest wire
+// struct: gob matches fields by name, so an older stream simply leaves the
+// fields it predates at zero.
 func decodeManifest(raw []byte, version int) (*Manifest, error) {
-	if version == schemaV1 {
-		var w manifestWire
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
-			return nil, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
-		}
-		// Version 1 predates the Workload field; every v1 bundle is a
-		// detail-page model by construction.
-		return &Manifest{
-			SchemaVersion: version,
-			Workload:      workload.DetailPage,
-			Lang:          w.Lang,
-			ModelKind:     w.ModelKind,
-			MinConfidence: w.MinConfidence,
-			Veto:          w.Veto,
-			Semantic:      w.Semantic,
-			Seed:          w.Seed,
-			Attributes:    w.Attributes,
-			AttrRep:       w.AttrRep,
-			Provenance:    w.Provenance,
-		}, nil
-	}
-	if version == schemaV2 {
-		var w manifestWireV2
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
-			return nil, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
-		}
-		wk, err := workload.Parse(w.Workload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
-		}
-		return &Manifest{
-			SchemaVersion: version,
-			Workload:      wk,
-			Lang:          w.Lang,
-			ModelKind:     w.ModelKind,
-			MinConfidence: w.MinConfidence,
-			Veto:          w.Veto,
-			Semantic:      w.Semantic,
-			Seed:          w.Seed,
-			Attributes:    w.Attributes,
-			AttrRep:       w.AttrRep,
-			Provenance:    w.Provenance,
-		}, nil
-	}
 	var w manifestWireV3
 	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&w); err != nil {
 		return nil, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
 	}
-	wk, err := workload.Parse(w.Workload)
-	if err != nil {
-		return nil, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
+	// Version 1 predates the Workload field; every v1 bundle is a
+	// detail-page model by construction.
+	wk := workload.DetailPage
+	if version != schemaV1 {
+		var err error
+		if wk, err = workload.Parse(w.Workload); err != nil {
+			return nil, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
+		}
 	}
 	return &Manifest{
 		SchemaVersion: version,
@@ -627,24 +621,9 @@ func Stat(path string) (*FileInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	head, err := parseHeader(raw)
+	f, err := parse(raw)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	body := raw[:len(raw)-sha256.Size]
-	sum := sha256.Sum256(body)
-	if !bytes.Equal(sum[:], raw[len(raw)-sha256.Size:]) {
-		return nil, fmt.Errorf("%s: %w: content hash does not match trailer", path, ErrFingerprint)
-	}
-	m, err := decodeManifest(head.manifest, head.version)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &FileInfo{
-		Manifest:      *m,
-		Fingerprint:   hex.EncodeToString(sum[:]),
-		ManifestBytes: int64(len(head.manifest)),
-		ModelBytes:    int64(len(head.model)),
-		TotalBytes:    int64(len(raw)),
-	}, nil
+	return f.info, nil
 }

@@ -328,3 +328,86 @@ func TestCorpusProvenanceVersioning(t *testing.T) {
 		}
 	}
 }
+
+// fuzzSeedBodies returns schema v1, v2 and v3 bundle bodies (no trailer)
+// around the tiny crafted CRF, each under 4 KB so the fuzzer keeps its
+// throughput.
+func fuzzSeedBodies(t testing.TB) [][]byte {
+	t.Helper()
+	model, err := DecodeModel(bytes.NewReader(wireBytes(t, kindCRF, tinyCRFWire())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := Manifest{Lang: "ja", ModelKind: "CRF", Attributes: []string{"weight"}}
+	v2 := v1
+	v2.Workload = workload.Title
+	v3 := v1
+	v3.Corpus = CorpusProvenance{Generation: 1, SHA256: "ab", Documents: 2, Shards: 1}
+	var bodies [][]byte
+	for i, m := range []Manifest{v1, v2, v3} {
+		var buf bytes.Buffer
+		if err := (&Bundle{Manifest: m, Model: model}).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		if v := binary.BigEndian.Uint32(raw[4:8]); int(v) != i+1 {
+			t.Fatalf("seed %d wrote schema version %d", i+1, v)
+		}
+		if len(raw) >= 4<<10 {
+			t.Fatalf("seed %d is %d bytes, want < 4 KB", i+1, len(raw))
+		}
+		bodies = append(bodies, raw[:len(raw)-sha256.Size])
+	}
+	return bodies
+}
+
+// loadSealed appends the fingerprint trailer to body and loads the result,
+// so every byte of the body reaches the header and manifest decoders.
+func loadSealed(body []byte) ([]byte, *Bundle, error) {
+	sum := sha256.Sum256(body)
+	raw := append(append([]byte(nil), body...), sum[:]...)
+	b, err := Load(bytes.NewReader(raw))
+	return raw, b, err
+}
+
+// A body gob accepts but Save would never write must be refused: it would
+// give one content a second fingerprint. Here a detail-page manifest is
+// stamped schema 2, which Save only writes for other workloads.
+func TestLoadRejectsNonCanonicalEncoding(t *testing.T) {
+	v1 := fuzzSeedBodies(t)[0]
+	body := append([]byte(nil), v1...)
+	binary.BigEndian.PutUint32(body[4:8], schemaV2)
+	if _, _, err := loadSealed(body); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if _, _, err := loadSealed(v1); err != nil {
+		t.Fatalf("canonical v1 body: %v", err)
+	}
+}
+
+// FuzzLoadBundle feeds arbitrary bundle bodies, sealed with a matching
+// trailer, to Load. It must never panic; a body it accepts must re-save to
+// the identical bytes; every failure is one of the typed sentinels.
+func FuzzLoadBundle(f *testing.F) {
+	for _, body := range fuzzSeedBodies(f) {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		raw, b, err := loadSealed(body)
+		if err != nil {
+			for _, want := range []error{ErrCorrupt, ErrSchemaVersion, ErrFingerprint, ErrUnknownModel} {
+				if errors.Is(err, want) {
+					return
+				}
+			}
+			t.Fatalf("untyped load error: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := b.Save(&buf); err != nil {
+			t.Fatalf("loaded bundle does not save: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), raw) {
+			t.Fatalf("re-save changed the bytes (%d → %d)", len(raw), buf.Len())
+		}
+	})
+}

@@ -34,10 +34,12 @@ type Options struct {
 	// document preparation); zero means one per CPU. Parallelism never
 	// changes extraction output.
 	Workers int
-	// Obs, when non-nil, receives per-request spans (extract.page /
-	// extract.batch with page, sentence and triple attributes) and the
-	// extraction counters (extract.pages, extract.sentences,
-	// extract.triples, extract.veto_killed). Nil records nothing.
+	// Obs, when non-nil, receives the extraction counters (extract.pages,
+	// extract.batches, extract.sentences, extract.triples,
+	// extract.veto_killed). Nil records nothing. Per-request detail goes to
+	// the request's obs.Trace (carried on the context), never to a span
+	// tree: a long-lived server would otherwise grow that tree by one node
+	// per page for as long as it runs.
 	Obs *obs.Recorder
 }
 
@@ -56,7 +58,6 @@ type Extractor struct {
 	pageVeto cleaning.VetoConfig // per-page veto: popularity rule disabled
 	workers  int
 	rec      *obs.Recorder
-	root     *obs.Span
 }
 
 // New builds an Extractor from a loaded bundle. The tokenizer and PoS tagger
@@ -98,16 +99,6 @@ func New(b *bundle.Bundle, opts Options) (*Extractor, error) {
 		workers:  opts.Workers,
 		rec:      opts.Obs,
 	}
-	// One root span per extractor; requests hang their spans under it so a
-	// report snapshot shows the serving session as a single well-formed tree.
-	x.root = x.rec.StartRun("extract")
-	x.root.SetAttr("bundle", x.fp)
-	x.root.SetAttr("model", m.ModelKind)
-	// Stamped only off the default so pre-refactor serving telemetry is
-	// byte-for-byte unchanged.
-	if x.wk != workload.DetailPage {
-		x.root.SetAttr("workload", x.wk.String())
-	}
 	x.rec.SetFingerprint(m.Provenance.ConfigFingerprint)
 	return x, nil
 }
@@ -121,10 +112,9 @@ func Open(path string, opts Options) (*Extractor, error) {
 	return New(b, opts)
 }
 
-// Close ends the extractor's root telemetry span, marking the serving
-// session complete; a report snapshot taken afterwards has no open spans.
-// Safe without a recorder; the Extractor itself needs no other teardown.
-func (x *Extractor) Close() { x.root.End(nil) }
+// Close releases nothing: an Extractor holds only immutable weights, so it
+// needs no teardown, and calling Close is optional.
+func (x *Extractor) Close() {}
 
 // Manifest returns the bundle manifest the extractor was built from.
 func (x *Extractor) Manifest() bundle.Manifest { return x.manifest }
@@ -158,17 +148,8 @@ func (x *Extractor) CheckWorkload(requested workload.Kind) error {
 // product page and returns its deduplicated triples. id becomes the
 // ProductID of every triple. Safe for concurrent use.
 func (x *Extractor) ExtractPage(ctx context.Context, id, html string) ([]triples.Triple, error) {
-	sp := x.root.Child("extract.page")
-	sp.SetAttr("page", id)
-	tr := obs.TraceFromContext(ctx)
-	if tr != nil {
-		sp.SetAttr("trace", tr.ID())
-	}
 	ts, sents, err := x.extractDoc(ctx, seed.Document{ID: id, HTML: html})
-	sp.SetAttrInt("sentences", int64(sents))
-	sp.SetAttrInt("triples", int64(len(ts)))
-	sp.End(err)
-	tr.Event("extract.page", "page", id,
+	obs.TraceFromContext(ctx).Event("extract.page", "page", id,
 		"sentences", strconv.Itoa(sents), "triples", strconv.Itoa(len(ts)))
 	if err != nil {
 		return nil, err
@@ -214,24 +195,14 @@ func (x *Extractor) ExtractBatch(ctx context.Context, docs []seed.Document) ([]t
 // merge in document order: the output is identical for every Workers value,
 // every chunk boundary, and every on-disk shard geometry. Memory is bounded
 // by one chunk of prepared sentences plus the tagged triples, never by the
-// page bodies. Sources implementing corpus.Instrumented report their shard
-// reads under the request span.
+// page bodies. Sources implementing corpus.Instrumented count their shard
+// reads (corpus.shards, corpus.bytes_read) on the extractor's recorder.
 func (x *Extractor) ExtractSource(ctx context.Context, src corpus.Source) ([]triples.Triple, error) {
-	sp := x.root.Child("extract.batch")
-	sp.SetAttrInt("workers", int64(par.Workers(x.workers)))
-	tr := obs.TraceFromContext(ctx)
-	if tr != nil {
-		sp.SetAttr("trace", tr.ID())
-	}
 	if ins, ok := src.(corpus.Instrumented); ok {
-		ins.Instrument(x.rec, sp)
+		ins.Instrument(x.rec, nil)
 	}
 	ts, pages, sents, err := x.extractSource(ctx, src)
-	sp.SetAttrInt("pages", int64(pages))
-	sp.SetAttrInt("sentences", int64(sents))
-	sp.SetAttrInt("triples", int64(len(ts)))
-	sp.End(err)
-	tr.Event("extract.batch", "pages", strconv.Itoa(pages),
+	obs.TraceFromContext(ctx).Event("extract.batch", "pages", strconv.Itoa(pages),
 		"sentences", strconv.Itoa(sents), "triples", strconv.Itoa(len(ts)))
 	if err != nil {
 		return nil, err

@@ -136,16 +136,21 @@ func TestNewRejectsEmptyBundle(t *testing.T) {
 	}
 }
 
+// TestExtractorRecordsSpansAndCounters: the recorder gets the extraction
+// counters, each call's record lands on the request's trace, and no span is
+// left behind — a recorder shared with a long-lived server stays bounded.
 func TestExtractorRecordsSpansAndCounters(t *testing.T) {
 	rec := obs.New(obs.Options{NoRuntimeStats: true})
 	x, err := New(testBundle(), Options{Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.ExtractPage(context.Background(), "p1", page); err != nil {
+	tr := obs.NewTrace("feedfacecafebeef")
+	ctx := obs.ContextWithTrace(context.Background(), tr)
+	if _, err := x.ExtractPage(ctx, "p1", page); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := x.ExtractBatch(context.Background(), []seed.Document{{ID: "p2", HTML: page}}); err != nil {
+	if _, err := x.ExtractBatch(ctx, []seed.Document{{ID: "p2", HTML: page}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := rec.Counter("extract.pages"); got != 2 {
@@ -154,20 +159,15 @@ func TestExtractorRecordsSpansAndCounters(t *testing.T) {
 	if got := rec.Counter("extract.triples"); got == 0 {
 		t.Fatal("extract.triples not recorded")
 	}
-	rep := rec.Snapshot()
-	if rep.Span == nil {
-		t.Fatal("snapshot has no span tree")
-	}
 	var names []string
-	for _, c := range rep.Span.Children {
-		names = append(names, c.Name)
-		for _, cc := range c.Children {
-			names = append(names, cc.Name)
-		}
+	for _, e := range tr.Snapshot().Events {
+		names = append(names, e.Msg)
 	}
-	joined := strings.Join(names, ",")
-	if !strings.Contains(joined, "extract.page") || !strings.Contains(joined, "extract.batch") {
-		t.Fatalf("span tree %v missing per-request spans", names)
+	if joined := strings.Join(names, ","); joined != "extract.page,extract.batch" {
+		t.Fatalf("trace events = %v, want extract.page then extract.batch", names)
+	}
+	if rep := rec.Snapshot(); rep.Span != nil {
+		t.Fatalf("extractor left a span tree: %+v", rep.Span)
 	}
 }
 

@@ -465,7 +465,7 @@ func TestLoadShedding(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("batch at 2/2 load = %d, want 503", w.Code)
 	}
-	var shed shedResponse
+	var shed serve.ErrorResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &shed); err != nil || !shed.Shed {
 		t.Fatalf("shed reply not typed: %s (err %v)", w.Body, err)
 	}
@@ -604,6 +604,64 @@ func TestPinDrainedCompletedRollout(t *testing.T) {
 		if got := rt.Backends()[i].Fingerprint(); got != want {
 			t.Fatalf("backend %d fingerprint = %q, want %q", i, got, want)
 		}
+	}
+}
+
+// TestPinDrainedDuringRetry covers a rollout that finishes while a request's
+// first attempt is out: both backends served fp-v1 when the request pinned
+// to it, the attempt fails with a 500, and by the retry every backend — and
+// the router's probe cache — says fp-v2. The retry's pick finds nothing
+// serving the pin; since the pinned version has left the fleet, the router
+// must drop the pin and retry on the new version instead of answering 503.
+func TestPinDrainedDuringRetry(t *testing.T) {
+	var fp atomic.Pointer[string]
+	v1, v2 := "fp-v1", "fp-v2"
+	fp.Store(&v1)
+	var rt *Router
+	var rolled atomic.Bool
+	backend := func(first bool, inj *faultinject.Injector) string {
+		mux := http.NewServeMux()
+		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+			_ = json.NewEncoder(w).Encode(serve.Health{Status: "ok", Bundle: *fp.Load(), Model: "stub"})
+		})
+		mux.HandleFunc("/extract", func(w http.ResponseWriter, r *http.Request) {
+			if first && rolled.CompareAndSwap(false, true) {
+				// The rollout lands mid-attempt: both backends reload
+				// and a probe round records it before this one fails.
+				fp.Store(&v2)
+				rt.ProbeAll(r.Context())
+				w.WriteHeader(http.StatusInternalServerError)
+				return
+			}
+			w.Header().Set(serve.BundleHeader, *fp.Load())
+			_ = json.NewEncoder(w).Encode(serve.Response{Bundle: *fp.Load(), Pages: 1})
+		})
+		srv := httptest.NewServer(faultinject.HTTPMiddleware(inj, mux))
+		t.Cleanup(srv.Close)
+		return srv.URL
+	}
+	urls := []string{backend(true, nil), backend(false, probeFail())}
+	rec := obs.New(obs.Options{NoRuntimeStats: true})
+	var err error
+	rt, err = New(Config{Backends: urls, FailThreshold: 3, RetryBackoff: time.Millisecond, Obs: rec, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	warmSkewed(t, rt)
+
+	w := doExtract(rt, singleBody)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d, body %s", w.Code, w.Body)
+	}
+	if got := w.Header().Get(serve.BundleHeader); got != v2 {
+		t.Fatalf("client saw bundle %q, want the rolled-out %s", got, v2)
+	}
+	if got := rec.Counter("fleet.pin_drained"); got != 1 {
+		t.Fatalf("fleet.pin_drained = %d, want 1", got)
+	}
+	if got := rec.Counter("fleet.errors"); got != 0 {
+		t.Fatalf("fleet.errors = %d, want 0 (the request must survive the rollout)", got)
 	}
 }
 

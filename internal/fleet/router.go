@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"math/rand"
 	"net/http"
 	"strconv"
@@ -104,15 +103,15 @@ type Config struct {
 	// nil uses a dedicated transport with per-backend keep-alive pools.
 	Transport http.RoundTripper
 	// Obs receives the fleet counters (fleet.*), probe gauges, the
-	// fleet.request.seconds latency histogram and the per-route/per-backend
-	// rolling windows behind /metrics and GET /fleet; nil records nothing.
+	// fleet.request.seconds latency histogram, the per-route/per-backend
+	// rolling windows behind /metrics and GET /fleet, and the router's log
+	// events: backend state changes and breaker opens at Info and Warn, one
+	// access-log event per request at Debug. Nil records nothing.
 	Obs *obs.Recorder
 	// Traces, when non-nil, captures per-request traces — retries, hedges,
 	// breaker opens, sheds — served at GET /debug/traces. Nil disables
 	// capture; the X-Pae-Trace ID still round-trips on every response.
 	Traces *obs.TraceLog
-	// Logger receives state transitions and breaker events; nil discards.
-	Logger *slog.Logger
 	// Seed fixes the backoff-jitter RNG for deterministic tests (0 seeds
 	// from the clock).
 	Seed int64
@@ -149,9 +148,6 @@ func (c Config) withDefaults() Config {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
 	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.DiscardHandler)
-	}
 	return c
 }
 
@@ -161,17 +157,11 @@ func (c Config) withDefaults() Config {
 type Router struct {
 	cfg      Config
 	rec      *obs.Recorder
-	traces   *obs.TraceLog
-	log      *slog.Logger
+	tel      *serve.Telemetry
 	client   *http.Client
 	backends []*Backend
 	inflight atomic.Int64
 	rr       atomic.Uint64 // round-robin tie-breaker
-
-	// Per-route rolling latency windows: the live p50/p99/p999 surfaced by
-	// GET /fleet and the /metrics summaries. Nil (no Recorder) is inert.
-	winSingle *obs.Window
-	winBatch  *obs.Window
 
 	randMu sync.Mutex
 	rand   *rand.Rand
@@ -199,16 +189,10 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:    cfg,
 		rec:    cfg.Obs,
-		traces: cfg.Traces,
-		log:    cfg.Logger,
+		tel:    serve.NewTelemetry("fleet", cfg.Obs, cfg.Traces),
 		client: &http.Client{Transport: tr},
 		rand:   rand.New(rand.NewSource(seed)),
 	}
-	// Router latencies are ms-scale: override the train-time default buckets
-	// before the first observation lands.
-	rt.rec.SetBuckets("fleet.request.seconds", obs.LatencyBuckets())
-	rt.winSingle = rt.rec.Window(`fleet.request.seconds.window{route="single"}`, obs.WindowOptions{})
-	rt.winBatch = rt.rec.Window(`fleet.request.seconds.window{route="batch"}`, obs.WindowOptions{})
 	for _, u := range cfg.Backends {
 		b := &Backend{url: u}
 		b.br.threshold = cfg.BreakerThreshold
@@ -299,7 +283,7 @@ func (rt *Router) probe(ctx context.Context, b *Backend) {
 	old, now := b.onProbe(ok, draining, fp, wl, errStr, rt.cfg.FailThreshold, rt.cfg.RiseThreshold)
 	if old != now {
 		rt.rec.Add("fleet.state_changes", 1)
-		rt.log.Info("backend state change", "backend", b.url, "from", old.String(), "to", now.String(), "err", errStr)
+		rt.rec.Info("backend state change", "backend", b.url, "from", old.String(), "to", now.String(), "err", errStr)
 	}
 	healthy := 0
 	for _, ob := range rt.backends {
@@ -321,87 +305,25 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("/healthz", rt.handleHealthz)
 	mux.HandleFunc("/fleet", rt.handleFleet)
 	mux.Handle("/metrics", serve.MetricsHandler(rt.rec))
-	mux.Handle("/debug/traces", serve.TracesHandler(rt.traces))
+	mux.Handle("/debug/traces", serve.TracesHandler(rt.cfg.Traces))
 	return mux
 }
 
-// shedResponse is the typed overload reply; Shed distinguishes load
-// shedding from other 503s so load generators can count it, and Trace
-// carries the request's X-Pae-Trace ID so even a shed reply is traceable.
-type shedResponse struct {
-	Error      string `json:"error"`
-	Shed       bool   `json:"shed"`
-	RetryAfter int    `json:"retry_after_seconds"`
-	Trace      string `json:"trace,omitempty"`
-}
-
-// seal finishes a request's trace, records it, folds the latency into the
-// per-route histogram and rolling window (route "" skips them — the request
-// never parsed far enough to have one), and emits the access log line.
-func (rt *Router) seal(tr *obs.Trace, tid, route string, status int, outcome string, err error, start time.Time) {
-	dur := time.Since(start)
-	tr.Finish(outcome, status, err)
-	rt.traces.Record(tr)
-	if route != "" {
-		rt.rec.Observe("fleet.request.seconds", dur.Seconds())
-		if route == "batch" {
-			rt.winBatch.Observe(dur.Seconds())
-		} else {
-			rt.winSingle.Observe(dur.Seconds())
-		}
-	}
-	errMsg := ""
-	if err != nil {
-		errMsg = err.Error()
-	}
-	rt.log.Info("request", "trace", tid, "route", route, "status", status, "dur", dur, "err", errMsg)
-}
-
-func (rt *Router) shed(w http.ResponseWriter, tr *obs.Trace, tid, route, scope string, inflight int64, start time.Time) {
-	rt.rec.Add("fleet.shed_"+scope, 1)
-	tr.Event("shed", "scope", scope, "inflight", strconv.FormatInt(inflight, 10))
-	w.Header().Set("Retry-After", "1")
-	msg := fmt.Sprintf("overloaded: %d requests in flight, shedding %s requests", inflight, scope)
-	writeJSON(w, http.StatusServiceUnavailable, shedResponse{
-		Error:      msg,
-		Shed:       true,
-		RetryAfter: 1,
-		Trace:      tid,
-	})
-	rt.seal(tr, tid, route, http.StatusServiceUnavailable, obs.TraceShed, errors.New(msg), start)
-}
-
 func (rt *Router) handleExtract(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	// Adopt the client's trace ID or mint one, and echo it before any branch:
-	// shed and timeout 503s must round-trip the ID like any other response.
-	tid := r.Header.Get(obs.TraceHeader)
-	if tid == "" {
-		tid = obs.NewTraceID()
-	}
-	w.Header().Set(obs.TraceHeader, tid)
-	var tr *obs.Trace
-	if rt.traces != nil {
-		tr = obs.NewTrace(tid)
-	}
-	badReq := func(status int, msg string) {
-		writeJSON(w, status, serve.ErrorResponse{Error: msg, Trace: tid})
-		rt.seal(tr, tid, "", status, obs.TraceError, errors.New(msg), start)
-	}
-
+	x := rt.tel.Begin(w, r)
 	if r.Method != http.MethodPost {
-		badReq(http.StatusMethodNotAllowed, "POST only")
+		x.Fail(http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxBodyBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			badReq(http.StatusRequestEntityTooLarge,
+			x.Fail(http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		badReq(http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
+		x.Fail(http.StatusBadRequest, fmt.Sprintf("read body: %v", err))
 		return
 	}
 	// Classify single vs batch without validating deeply — the backend owns
@@ -409,19 +331,19 @@ func (rt *Router) handleExtract(w http.ResponseWriter, r *http.Request) {
 	// hedging policy.
 	var req serve.Request
 	if err := json.Unmarshal(body, &req); err != nil {
-		badReq(http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		x.Fail(http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	single := len(req.Pages) == 0
-	route := "single"
+	x.Route = "single"
 	if !single {
-		route = "batch"
+		x.Route = "batch"
 	}
 	// An unknown workload is the client's mistake, not a fleet condition:
 	// reject it here as the backend would, instead of reporting "no backend
 	// hosts it" for a workload that cannot exist.
 	if req.Workload != "" && !req.Workload.Valid() {
-		badReq(http.StatusBadRequest, fmt.Sprintf("unknown workload %q", string(req.Workload)))
+		x.Fail(http.StatusBadRequest, fmt.Sprintf("unknown workload %q", string(req.Workload)))
 		return
 	}
 
@@ -432,18 +354,22 @@ func (rt *Router) handleExtract(w http.ResponseWriter, r *http.Request) {
 	cur := rt.inflight.Add(1)
 	defer rt.inflight.Add(-1)
 	if rt.cfg.MaxInflight > 0 {
+		scope := ""
 		if cur > int64(rt.cfg.MaxInflight) {
-			rt.shed(w, tr, tid, route, "full", cur, start)
-			return
+			scope = "full"
+		} else if !single && float64(cur) > rt.cfg.BatchShedFraction*float64(rt.cfg.MaxInflight) {
+			scope = "batch"
 		}
-		if !single && float64(cur) > rt.cfg.BatchShedFraction*float64(rt.cfg.MaxInflight) {
-			rt.shed(w, tr, tid, route, "batch", cur, start)
+		if scope != "" {
+			rt.rec.Add("fleet.shed_"+scope, 1)
+			x.Trace.Event("shed", "scope", scope, "inflight", strconv.FormatInt(cur, 10))
+			x.Shed(fmt.Sprintf("overloaded: %d requests in flight, shedding %s requests", cur, scope))
 			return
 		}
 	}
 
 	rt.rec.Add("fleet.requests", 1)
-	rt.forward(w, r, body, single, req.Workload, tr, tid, route, start)
+	rt.forward(w, r, x, body, single, req.Workload)
 }
 
 // attemptOut is one attempt's outcome: a transport error, or a response
@@ -464,8 +390,8 @@ func (o attemptOut) retryable() bool { return o.err != nil || o.status >= 500 }
 // forward runs the attempt loop for one logical request: pick a backend,
 // try it, retry (with jittered backoff) or hedge onto *different* backends
 // as needed, and stream the winning response to the client.
-func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, single bool, wl workload.Kind, tr *obs.Trace, tid, route string, start time.Time) {
-	ctx := r.Context()
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, x *serve.Exchange, body []byte, single bool, wl workload.Kind) {
+	ctx, tr := r.Context(), x.Trace
 	tried := map[*Backend]bool{}
 	var pin string // bundle fingerprint this request is pinned to
 	results := make(chan attemptOut, rt.cfg.MaxAttempts+1)
@@ -481,6 +407,16 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, s
 	// means no such backend exists right now.
 	launch := func() (*Backend, error) {
 		b, err := rt.pick(tried, pin, wl)
+		if errors.Is(err, ErrPinned) && rt.pinDrained(pin) {
+			// Every routable backend moved off the pinned bundle while an
+			// earlier attempt was out (a rollout finished under it): no
+			// version is left to stay consistent with, so drop the pin and
+			// pick among the fresh ones.
+			rt.rec.Add("fleet.pin_drained", 1)
+			tr.Event("pin-drained", "pin", pin)
+			pin = ""
+			b, err = rt.pick(tried, pin, wl)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -493,7 +429,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, s
 		tr.Event("attempt", "n", strconv.Itoa(attempts), "backend", b.URL())
 		actx, cancel := context.WithCancel(ctx)
 		cancels = append(cancels, cancel)
-		go func() { results <- rt.attempt(actx, b, body, tid, tr) }()
+		go func() { results <- rt.attempt(actx, b, body, x.ID, tr) }()
 		return b, nil
 	}
 
@@ -506,27 +442,19 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, s
 		}
 		w.WriteHeader(out.status)
 		_, _ = w.Write(out.body)
-		outcome := obs.TraceOK
 		var err error
 		if out.status < 400 {
 			rt.rec.Add("fleet.success", 1)
 		} else {
 			rt.rec.Add("fleet.errors", 1)
-			outcome = obs.TraceError
 			err = fmt.Errorf("backend status %d", out.status)
 		}
-		rt.seal(tr, tid, route, out.status, outcome, err, start)
+		x.Finish(out.status, err)
 	}
 
 	fail := func(status int, err error) {
 		rt.rec.Add("fleet.errors", 1)
-		er := serve.ErrorResponse{Error: err.Error(), Trace: tid}
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-			er.RetryAfterSeconds = 1
-		}
-		writeJSON(w, status, er)
-		rt.seal(tr, tid, route, status, obs.TraceError, err, start)
+		x.Fail(status, err.Error())
 	}
 
 	if _, err := launch(); err != nil {
@@ -612,8 +540,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte, s
 		case <-ctx.Done():
 			rt.rec.Add("fleet.client_canceled", 1)
 			tr.Event("client-canceled")
-			writeJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: "client canceled", Trace: tid})
-			rt.seal(tr, tid, route, http.StatusServiceUnavailable, obs.TraceError, errors.New("client canceled"), start)
+			x.Fail(http.StatusServiceUnavailable, "client canceled")
 			return
 		}
 	}
@@ -718,7 +645,7 @@ func (rt *Router) noteFailure(b *Backend, tr *obs.Trace) {
 	if b.br.failure(time.Now()) {
 		rt.rec.Add("fleet.breaker_opens", 1)
 		tr.Event("breaker-open", "backend", b.url)
-		rt.log.Warn("circuit breaker opened", "backend", b.url)
+		rt.rec.Warn("circuit breaker opened", "backend", b.url)
 	}
 }
 
@@ -839,7 +766,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "unroutable"
 	}
-	writeJSON(w, status, map[string]any{
+	serve.WriteJSON(w, status, map[string]any{
 		"status":   state,
 		"backends": len(rt.backends),
 		"healthy":  healthy,
@@ -861,23 +788,12 @@ func (rt *Router) handleFleet(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
 	st := FleetStatus{Inflight: rt.inflight.Load()}
 	if rt.rec != nil {
-		st.Latency = map[string]obs.WindowSnapshot{
-			"single": rt.winSingle.Snapshot(),
-			"batch":  rt.winBatch.Snapshot(),
-		}
+		st.Latency = rt.tel.Latency()
 	}
 	for _, b := range rt.backends {
 		st.Backends = append(st.Backends, b.status(now))
 	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	serve.WriteJSON(w, http.StatusOK, st)
 }
 
 // RetryAfter parses a shed response's Retry-After header (for load

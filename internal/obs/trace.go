@@ -32,7 +32,7 @@ func NewTraceID() string {
 
 // TraceEvent is one structured per-hop record inside a trace: admission,
 // queue wait, retry N against backend B, hedge fired/won, breaker open,
-// shed, reload-in-flight. Offset is relative to the trace start.
+// shed, pin drained. Offset is relative to the trace start.
 type TraceEvent struct {
 	OffsetNanos int64             `json:"offset_ns"`
 	Msg         string            `json:"msg"`

@@ -163,7 +163,6 @@ func extractAll(ctx context.Context, path string, r *corpus.Reader) ([]triples.T
 	if err != nil {
 		return nil, "", err
 	}
-	defer x.Close()
 	src := r.Source()
 	defer src.Close()
 	ts, err := x.ExtractSource(ctx, src)

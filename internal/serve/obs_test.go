@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -150,6 +151,75 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("/metrics missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// TestServingTelemetryBounded: a long-lived server's recorder must not grow
+// with the requests it serves. After N and then 10·N /extract requests the
+// snapshot has the same span count and the same shape — the same span,
+// counter, gauge, histogram and series names; only the values move.
+func TestServingTelemetryBounded(t *testing.T) {
+	s, rec, _ := tracedServer(t, 4, time.Minute)
+	h := s.Handler()
+	single, _ := json.Marshal(Request{ID: "p1", HTML: testPage})
+	batch, _ := json.Marshal(Request{Pages: []Page{{ID: "p2", HTML: testPage}}})
+	served := 0
+	serveUpTo := func(n int) {
+		for ; served < n; served++ {
+			body := single
+			if served%2 == 1 {
+				body = batch
+			}
+			if w, _ := postExtract(t, h, string(body)); w.Code != http.StatusOK {
+				t.Fatalf("request %d: %d %s", served, w.Code, w.Body.String())
+			}
+		}
+	}
+	const n = 10
+	serveUpTo(n)
+	spans1, shape1 := reportShape(rec.Snapshot())
+	serveUpTo(10 * n)
+	spans2, shape2 := reportShape(rec.Snapshot())
+	if spans2 != spans1 {
+		t.Fatalf("span count grew from %d after %d requests to %d after %d", spans1, n, spans2, 10*n)
+	}
+	if shape2 != shape1 {
+		t.Fatalf("report shape changed between %d and %d requests:\n%s\n%s", n, 10*n, shape1, shape2)
+	}
+	if got := rec.Counter("serve.requests"); got != 10*n {
+		t.Fatalf("serve.requests = %d, want %d", got, 10*n)
+	}
+}
+
+// reportShape counts a report's spans and lists its names: every span (one
+// entry per node) and every counter, gauge, histogram and series, sorted.
+func reportShape(rep *obs.Report) (spans int, shape string) {
+	var names []string
+	var walk func(sp *obs.SpanReport)
+	walk = func(sp *obs.SpanReport) {
+		if sp == nil {
+			return
+		}
+		spans++
+		names = append(names, "span "+sp.Name)
+		for _, c := range sp.Children {
+			walk(c)
+		}
+	}
+	walk(rep.Span)
+	for k := range rep.Counters {
+		names = append(names, "counter "+k)
+	}
+	for k := range rep.Gauges {
+		names = append(names, "gauge "+k)
+	}
+	for k := range rep.Histograms {
+		names = append(names, "histogram "+k)
+	}
+	for k := range rep.Series {
+		names = append(names, "series "+k)
+	}
+	sort.Strings(names)
+	return spans, strings.Join(names, "\n")
 }
 
 // BenchmarkServeExtractNoObs is the disabled-observability baseline: nil

@@ -16,10 +16,11 @@
 //     versions inside one logical request.
 //   - POST /admin/reload (and SIGHUP in cmd/paeserve) swaps the bundle with
 //     zero downtime: the new .paeb is loaded and fingerprint-verified
-//     first, the extractor pointer swaps atomically, and the old extractor
-//     drains — in-flight requests finish on the model they started on —
-//     before it is closed. A corrupt or unreadable bundle leaves the old
-//     one serving.
+//     first, then the served-bundle pointer swaps atomically. Each request
+//     loads that pointer once, so in-flight requests finish on the model
+//     they started on; an extractor holds nothing that needs closing, so
+//     the old one simply becomes garbage. A corrupt or unreadable bundle
+//     leaves the old one serving.
 //   - Overload and misuse map to typed statuses the router can rely on:
 //     503 for admission-queue cancellation and extraction timeouts, 413 for
 //     oversized bodies, 400 for malformed requests.
@@ -32,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -86,14 +86,17 @@ type Response struct {
 	Triples []triples.Triple `json:"triples"`
 }
 
-// ErrorResponse is the JSON body of every non-2xx reply. Trace echoes the
-// request's X-Pae-Trace ID so a client can quote the exact trace an operator
-// should pull from /debug/traces; RetryAfterSeconds mirrors the Retry-After
-// header on 503s so JSON-only clients need not parse headers.
+// ErrorResponse is the JSON body of every non-2xx reply, from a backend or
+// the fleet router. Trace echoes the request's X-Pae-Trace ID so a client
+// can quote the exact trace an operator should pull from /debug/traces;
+// RetryAfterSeconds mirrors the Retry-After header on 503s so JSON-only
+// clients need not parse headers; Shed marks the router's load-shedding
+// refusals so load generators can count them apart from failures.
 type ErrorResponse struct {
 	Error             string `json:"error"`
 	Trace             string `json:"trace,omitempty"`
 	RetryAfterSeconds int    `json:"retry_after_seconds,omitempty"`
+	Shed              bool   `json:"shed,omitempty"`
 }
 
 // Health is the GET /healthz body. Status is "ok" or "draining"; a
@@ -138,9 +141,10 @@ type Config struct {
 	MaxInflight int
 	// Timeout bounds each extraction once started (0 = none).
 	Timeout time.Duration
-	// Obs receives request spans, serve counters, the serve.request.seconds
-	// latency histogram (ms-scale buckets) and the per-route rolling-window
-	// quantiles /metrics exposes; nil records nothing.
+	// Obs receives the serve and extract counters, the
+	// serve.request.seconds latency histogram (ms-scale buckets), the
+	// per-route rolling-window quantiles /metrics exposes and one Debug
+	// access-log event per request; nil records nothing.
 	Obs *obs.Recorder
 	// Traces, when non-nil, captures per-request traces — slowest and
 	// errored exemplars — served at GET /debug/traces. Nil disables capture;
@@ -151,128 +155,78 @@ type Config struct {
 	FaultInjector *faultinject.Injector
 }
 
-// live is one loaded extractor plus the refcount that gates its teardown:
-// requests acquire a reference for their whole extraction, so a reload can
-// swap the current pointer immediately and close the old extractor only
-// after its last in-flight request finishes.
+// live is one loaded bundle: its extractor, its file description, and the
+// path it came from (what a pathless reload re-reads).
 type live struct {
 	x    *extract.Extractor
 	info *bundle.FileInfo
-	wg   sync.WaitGroup
+	path string
 }
 
 // Server answers extraction requests from a hot-swappable bundle. All
-// mutable state is the current *live pointer (guarded by mu) and the
-// draining flag; everything else is read-only after New.
+// mutable state is the served-bundle pointer and the draining flag;
+// everything else is read-only after New.
 type Server struct {
-	cfg    Config
-	rec    *obs.Recorder
-	traces *obs.TraceLog
-	sem    chan struct{} // bounds in-flight extractions; nil means unlimited
-	// Per-route rolling latency windows behind the /metrics summaries and
-	// the live p50/p99/p999; nil (no Recorder) is inert.
-	winSingle *obs.Window
-	winBatch  *obs.Window
-
-	mu        sync.Mutex // guards cur and path
-	cur       *live
-	path      string
-	drains    sync.WaitGroup // old-extractor teardowns still in flight
-	reloading atomic.Int32   // old extractors still draining (trace visibility)
-	draining  atomic.Bool
+	cfg      Config
+	rec      *obs.Recorder
+	tel      *Telemetry
+	sem      chan struct{} // bounds in-flight extractions; nil means unlimited
+	cur      atomic.Pointer[live]
+	draining atomic.Bool
 }
 
 // New loads the bundle and builds a serving core.
 func New(cfg Config) (*Server, error) {
-	s := &Server{cfg: cfg, rec: cfg.Obs, traces: cfg.Traces}
+	s := &Server{cfg: cfg, rec: cfg.Obs, tel: NewTelemetry("serve", cfg.Obs, cfg.Traces)}
 	if cfg.MaxInflight > 0 {
 		s.sem = make(chan struct{}, cfg.MaxInflight)
 	}
-	// Request latencies are ms-scale: override the train-time default
-	// buckets before the first observation lands.
-	s.rec.SetBuckets("serve.request.seconds", obs.LatencyBuckets())
-	s.winSingle = s.rec.Window(`serve.request.seconds.window{route="single"}`, obs.WindowOptions{})
-	s.winBatch = s.rec.Window(`serve.request.seconds.window{route="batch"}`, obs.WindowOptions{})
 	l, err := s.load(cfg.BundlePath)
 	if err != nil {
 		return nil, err
 	}
-	s.cur = l
-	s.path = cfg.BundlePath
+	s.cur.Store(l)
 	return s, nil
 }
 
-// load reads and verifies a bundle file and builds its extractor.
+// load reads and verifies a bundle file — one read, one hash — and builds
+// its extractor.
 func (s *Server) load(path string) (*live, error) {
-	info, err := bundle.Stat(path)
+	b, info, err := bundle.LoadFileInfo(path)
 	if err != nil {
 		return nil, err
 	}
-	x, err := extract.Open(path, extract.Options{Workers: s.cfg.Workers, Obs: s.rec})
+	x, err := extract.New(b, extract.Options{Workers: s.cfg.Workers, Obs: s.rec})
 	if err != nil {
 		return nil, err
 	}
-	return &live{x: x, info: info}, nil
-}
-
-// acquire pins the current extractor for one request. The returned release
-// must be called when the request is done with it.
-func (s *Server) acquire() (*live, func()) {
-	s.mu.Lock()
-	l := s.cur
-	l.wg.Add(1)
-	s.mu.Unlock()
-	return l, func() { l.wg.Done() }
+	return &live{x: x, info: info, path: path}, nil
 }
 
 // Extractor returns the currently served extractor (for logs and tests).
-func (s *Server) Extractor() *extract.Extractor {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur.x
-}
+func (s *Server) Extractor() *extract.Extractor { return s.cur.Load().x }
 
 // Fingerprint returns the content address of the currently served bundle.
-func (s *Server) Fingerprint() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cur.info.Fingerprint
-}
+func (s *Server) Fingerprint() string { return s.cur.Load().info.Fingerprint }
 
 // Reload swaps the served bundle for the one at path (empty = the last
 // loaded path). The new bundle is fully loaded and fingerprint-verified
-// before the swap, so any error leaves the old bundle serving; after the
-// swap the old extractor drains in the background — in-flight requests
-// finish on the model they started on — and is closed when the last one
-// releases it.
+// before the swap, so any error leaves the old bundle serving; requests
+// already running keep the extractor they loaded.
 func (s *Server) Reload(path string) (*ReloadResponse, error) {
 	if err := s.cfg.FaultInjector.Fire(faultinject.StageReload); err != nil {
 		s.rec.Add("serve.reload_errors", 1)
 		return nil, err
 	}
 	if path == "" {
-		s.mu.Lock()
-		path = s.path
-		s.mu.Unlock()
+		path = s.cur.Load().path
 	}
 	l, err := s.load(path)
 	if err != nil {
 		s.rec.Add("serve.reload_errors", 1)
 		return nil, err
 	}
-	s.mu.Lock()
-	old := s.cur
-	s.cur = l
-	s.path = path
-	s.mu.Unlock()
-	s.drains.Add(1)
-	s.reloading.Add(1)
-	go func() {
-		defer s.drains.Done()
-		defer s.reloading.Add(-1)
-		old.wg.Wait()
-		old.x.Close()
-	}()
+	old := s.cur.Swap(l)
 	s.rec.Add("serve.reloads", 1)
 	return &ReloadResponse{Old: old.info.Fingerprint, New: l.info.Fingerprint, Bundle: path}, nil
 }
@@ -286,16 +240,10 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // Draining reports whether drain has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Close waits for in-flight requests and pending reload teardowns, then
-// closes the current extractor. Call after the HTTP server has shut down.
-func (s *Server) Close() {
-	s.mu.Lock()
-	cur := s.cur
-	s.mu.Unlock()
-	cur.wg.Wait()
-	s.drains.Wait()
-	cur.x.Close()
-}
+// Close releases nothing: a Server holds no resource beyond memory, and
+// http.Server.Shutdown already drains in-flight handlers, so calling Close
+// is optional.
+func (s *Server) Close() {}
 
 // Handler returns the route table. Shutdown draining is the caller's job
 // (http.Server.Shutdown waits for in-flight handlers).
@@ -306,61 +254,14 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/bundle", s.handleBundle)
 	mux.HandleFunc("/admin/reload", s.handleReload)
 	mux.Handle("/metrics", MetricsHandler(s.rec))
-	mux.Handle("/debug/traces", TracesHandler(s.traces))
+	mux.Handle("/debug/traces", TracesHandler(s.cfg.Traces))
 	return mux
 }
 
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	// Adopt the caller's trace ID (the router's, usually) or mint one, and
-	// echo it before any branch — shed, timeout and malformed requests must
-	// round-trip the ID too.
-	tid := r.Header.Get(obs.TraceHeader)
-	if tid == "" {
-		tid = obs.NewTraceID()
-	}
-	w.Header().Set(obs.TraceHeader, tid)
-	var tr *obs.Trace
-	if s.traces != nil {
-		tr = obs.NewTrace(tid)
-	}
-
-	// finish seals the trace and emits the access log; route is "" until the
-	// request parses far enough to have one (such requests skip the latency
-	// windows — they measured nothing).
-	finish := func(route string, status int, err error) {
-		dur := time.Since(start)
-		outcome, errMsg := obs.TraceOK, ""
-		if err != nil {
-			outcome, errMsg = obs.TraceError, err.Error()
-		}
-		tr.Finish(outcome, status, err)
-		s.traces.Record(tr)
-		if route != "" {
-			s.rec.Observe("serve.request.seconds", dur.Seconds())
-			if route == "batch" {
-				s.winBatch.Observe(dur.Seconds())
-			} else {
-				s.winSingle.Observe(dur.Seconds())
-			}
-		}
-		s.rec.Debug("serve.request",
-			"trace", tid, "route", route, "status", status, "dur", dur, "err", errMsg)
-	}
-	fail := func(route string, status int, msg string) {
-		er := ErrorResponse{Error: msg, Trace: tid}
-		if status == http.StatusServiceUnavailable {
-			// Overload and timeouts are transient: tell clients (and their
-			// retry loops) when to come back, in both header and body.
-			w.Header().Set("Retry-After", "1")
-			er.RetryAfterSeconds = 1
-		}
-		writeJSON(w, status, er)
-		finish(route, status, errors.New(msg))
-	}
-
+	x := s.tel.Begin(w, r)
 	if r.Method != http.MethodPost {
-		fail("", http.StatusMethodNotAllowed, "POST only")
+		x.Fail(http.StatusMethodNotAllowed, "POST only")
 		return
 	}
 	var req Request
@@ -368,22 +269,23 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			fail("", http.StatusRequestEntityTooLarge,
+			x.Fail(http.StatusRequestEntityTooLarge,
 				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
 			return
 		}
-		fail("", http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		x.Fail(http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	single := req.HTML != ""
 	if single == (len(req.Pages) > 0) {
-		fail("", http.StatusBadRequest, "provide either html (with id) or pages, not both")
+		x.Fail(http.StatusBadRequest, "provide either html (with id) or pages, not both")
 		return
 	}
-	route := "single"
+	x.Route = "single"
 	if !single {
-		route = "batch"
+		x.Route = "batch"
 	}
+	tr := x.Trace
 
 	// Admission control: wait for an extraction slot, but never past the
 	// client's patience — a canceled request releases its queue spot for free.
@@ -396,7 +298,7 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 			tr.Event("admitted", "queue_wait", time.Since(queued).String())
 		case <-ctx.Done():
 			tr.Event("shed", "reason", "client gone while queued")
-			fail(route, http.StatusServiceUnavailable, "canceled while queued")
+			x.Fail(http.StatusServiceUnavailable, "canceled while queued")
 			return
 		}
 	} else {
@@ -407,24 +309,20 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 		defer cancel()
 	}
-	if s.reloading.Load() > 0 {
-		tr.Event("reload-in-flight")
-	}
 
-	// Pin the extractor for the whole request: a concurrent reload swaps
-	// the pointer for new requests but cannot close this one under us.
-	l, release := s.acquire()
-	defer release()
-	// The workload check runs against the pinned extractor, after admission:
-	// a reload could swap the served workload while the request queues, and
-	// the verdict must be about the bundle that will actually extract.
+	// Load the served bundle once: a concurrent reload swaps the pointer for
+	// later requests, while this one finishes on the model it started with.
+	// The workload check runs against it, after admission: a reload could
+	// swap the served workload while the request queues, and the verdict
+	// must be about the bundle that will actually extract.
+	l := s.cur.Load()
 	if err := l.x.CheckWorkload(req.Workload); err != nil {
 		w.Header().Set(WorkloadHeader, l.x.Workload().String())
 		tr.Event("workload-mismatch", "requested", string(req.Workload))
-		fail(route, http.StatusBadRequest, err.Error())
+		x.Fail(http.StatusBadRequest, err.Error())
 		return
 	}
-	tr.Event("extract", "route", route, "bundle", l.info.Fingerprint)
+	tr.Event("extract", "route", x.Route, "bundle", l.info.Fingerprint)
 	ctx = obs.ContextWithTrace(ctx, tr)
 
 	resp := Response{Bundle: l.info.Fingerprint, Triples: []triples.Triple{}}
@@ -450,21 +348,19 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusServiceUnavailable
 			tr.Event("timeout", "err", err.Error())
 		}
-		fail(route, status, err.Error())
+		x.Fail(status, err.Error())
 		return
 	}
 	if ts != nil {
 		resp.Triples = ts
 	}
 	s.rec.Add("serve.requests", 1)
-	writeJSON(w, http.StatusOK, resp)
-	finish(route, http.StatusOK, nil)
+	WriteJSON(w, http.StatusOK, resp)
+	x.Finish(http.StatusOK, nil)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	info := s.cur.info
-	s.mu.Unlock()
+	info := s.cur.Load().info
 	h := Health{
 		Status:   "ok",
 		Bundle:   info.Fingerprint,
@@ -476,17 +372,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	WriteJSON(w, status, h)
 }
 
 // handleBundle reports the served artifact: the full manifest plus the file
 // geometry paeinspect prints — enough for an operator to verify which model a
 // replica is running without touching its disk.
 func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	info := s.cur.info
-	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, s.cur.Load().info)
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
@@ -507,15 +400,9 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: msg})
+	WriteJSON(w, status, ErrorResponse{Error: msg})
 }
