@@ -8,11 +8,8 @@ verify: fmt-check vet build race bench-check
 build:
 	$(GO) build ./...
 
-## vet covers both build configurations: the default (with the net/http
-## debug endpoint) and the obsnodebug tag that strips it.
 vet:
 	$(GO) vet ./...
-	$(GO) vet -tags obsnodebug ./...
 
 test:
 	$(GO) test ./...
@@ -130,6 +127,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeModel -fuzztime=$(FUZZTIME) ./internal/bundle
 	$(GO) test -run=^$$ -fuzz=FuzzLoadBundle -fuzztime=$(FUZZTIME) ./internal/bundle
 	$(GO) test -run=^$$ -fuzz=FuzzShardEntry -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzReadCheckpoint -fuzztime=$(FUZZTIME) ./internal/core
 
 clean:
 	$(GO) clean -testcache

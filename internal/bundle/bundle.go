@@ -39,6 +39,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/atomicfile"
 	"repro/internal/cleaning"
 	"repro/internal/tagger"
 	"repro/internal/workload"
@@ -404,35 +405,11 @@ func (b *Bundle) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveFile writes the bundle to path via a temp file + rename, so a crash
+// SaveFile commits the bundle to path through atomicfile, so a crash
 // mid-write never leaves a truncated artifact at the target name.
 func (b *Bundle) SaveFile(path string) error {
-	dir := "."
-	if i := lastSlash(path); i >= 0 {
-		dir = path[:i+1]
-	}
-	tmp, err := os.CreateTemp(dir, ".paeb-*")
-	if err != nil {
-		return fmt.Errorf("bundle: temp file: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := b.Save(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-func lastSlash(p string) int {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] == '/' || p[i] == os.PathSeparator {
-			return i
-		}
-	}
-	return -1
+	_, err := atomicfile.Write(path, b.Save)
+	return err
 }
 
 // Load reads a bundle previously written by Save, verifying the schema

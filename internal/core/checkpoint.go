@@ -19,11 +19,10 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/atomicfile"
 	"repro/internal/bundle"
-	"repro/internal/cleaning"
 	"repro/internal/obs"
 	"repro/internal/tagger"
-	"repro/internal/triples"
 	"repro/internal/workload"
 )
 
@@ -72,17 +71,6 @@ func isShardPrefix(old, cur []string) bool {
 	return true
 }
 
-// iterationWire is the serialised form of one IterationResult.
-type iterationWire struct {
-	Iteration         int
-	Triples           []triples.Triple
-	TaggedCandidates  int
-	Veto              cleaning.VetoStats
-	SemanticRemoved   int
-	TrainingSequences int
-	Errors            []string
-}
-
 // checkpointWire is one checkpoint file: every iteration completed so far
 // (the cumulative triple set is the last entry's Triples) plus a
 // configuration fingerprint, a workload stamp, and a corpus stamp that guard
@@ -105,7 +93,10 @@ type checkpointWire struct {
 	// and with it every bundle byte) is needed.
 	Generation int
 	ShardSHAs  []string
-	Iterations []iterationWire
+	// Iterations are stored as is. gob matches struct fields by name, so
+	// files written when they went through a private twin of
+	// IterationResult decode unchanged.
+	Iterations []IterationResult
 }
 
 // Fingerprint summarises the configuration fields that determine the
@@ -170,25 +161,11 @@ func checkpointPath(dir string, iter int) string {
 	return filepath.Join(dir, fmt.Sprintf("iter-%03d.ckpt", iter))
 }
 
-// countingWriter counts bytes on their way to the underlying writer, so the
-// checkpoint span can report the state-file size without a second stat.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
 // saveCheckpoint writes the checkpoint for the just-completed iteration:
 // the model artifact (via the model packages' own serialisers) and the
-// gob-encoded run state, returning the state-file size in bytes. The state
-// file is written to a temp name and renamed so a kill mid-write never
-// leaves a truncated iter-*.ckpt behind — at worst the orphaned temp file is
-// ignored by the loader.
+// gob-encoded run state, returning the state-file size in bytes. Both are
+// committed through atomicfile, so a kill mid-write never leaves a truncated
+// iter-*.ckpt behind.
 func saveCheckpoint(dir, fp string, wk workload.Kind, ident corpusIdent, iters []IterationResult, model tagger.Model) (int64, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("pae: checkpoint dir: %w", err)
@@ -199,7 +176,7 @@ func saveCheckpoint(dir, fp string, wk workload.Kind, ident corpusIdent, iters [
 	}
 	wire := checkpointWire{
 		Version: checkpointVersion, Fingerprint: fp, Corpus: ident.stamp,
-		Generation: ident.generation, ShardSHAs: ident.shardSHAs,
+		Generation: ident.generation, ShardSHAs: ident.shardSHAs, Iterations: iters,
 	}
 	// Detail-page is stamped as the empty string — the same value gob
 	// zero-fills into pre-refactor checkpoints — so old and new detail-page
@@ -207,36 +184,11 @@ func saveCheckpoint(dir, fp string, wk workload.Kind, ident corpusIdent, iters [
 	if k := wk.WithDefault(); k != workload.DetailPage {
 		wire.Workload = string(k)
 	}
-	for _, ir := range iters {
-		wire.Iterations = append(wire.Iterations, iterationWire{
-			Iteration:         ir.Iteration,
-			Triples:           ir.Triples,
-			TaggedCandidates:  ir.TaggedCandidates,
-			Veto:              ir.Veto,
-			SemanticRemoved:   ir.SemanticRemoved,
-			TrainingSequences: ir.TrainingSequences,
-			Errors:            ir.Errors,
-		})
-	}
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
+	size, err := writeGob(checkpointPath(dir, n), wire)
 	if err != nil {
-		return 0, fmt.Errorf("pae: checkpoint temp: %w", err)
+		return 0, fmt.Errorf("pae: checkpoint write: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	cw := &countingWriter{w: tmp}
-	bw := bufio.NewWriter(cw)
-	if err := gob.NewEncoder(bw).Encode(wire); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("pae: checkpoint encode: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	return cw.n, os.Rename(tmp.Name(), checkpointPath(dir, n))
+	return size, nil
 }
 
 // saveModel serialises the iteration's trained model next to the state file
@@ -246,29 +198,28 @@ func saveCheckpoint(dir, fp string, wk workload.Kind, ident corpusIdent, iters [
 // and never reads it back.
 func saveModel(dir string, iter int, model tagger.Model) error {
 	path := filepath.Join(dir, fmt.Sprintf("model-%03d.paem", iter))
-	tmp, err := os.CreateTemp(dir, ".paem-*")
+	_, err := atomicfile.Write(path, func(w io.Writer) error { return bundle.EncodeModel(w, model) })
+	if errors.Is(err, bundle.ErrUnknownModel) {
+		// Unknown model kinds (tests, future backends) skip the artifact;
+		// resume only needs the state file.
+		return nil
+	}
+	return err
+}
+
+// writeGob commits v, gob-encoded, at path and returns the bytes written.
+func writeGob(path string, v any) (int64, error) {
+	return atomicfile.Write(path, func(w io.Writer) error { return gob.NewEncoder(w).Encode(v) })
+}
+
+// readGob decodes the gob value stored at path into v.
+func readGob(path string, v any) error {
+	f, err := os.Open(path)
 	if err != nil {
-		return fmt.Errorf("pae: model temp: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	bw := bufio.NewWriter(tmp)
-	if err := bundle.EncodeModel(bw, model); err != nil {
-		tmp.Close()
-		if errors.Is(err, bundle.ErrUnknownModel) {
-			// Unknown model kinds (tests, future backends) skip the
-			// artifact; resume only needs the state file.
-			return nil
-		}
 		return err
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	defer f.Close()
+	return gob.NewDecoder(bufio.NewReaderSize(f, 64<<10)).Decode(v)
 }
 
 // loadLatestCheckpoint returns the completed iterations of the newest valid
@@ -353,35 +304,27 @@ func loadLatestCheckpoint(dir, fp string, wk workload.Kind, ident corpusIdent, i
 				"%w: %s was written under a different iteration schedule over this same corpus; a resume must use the same schedule (incremental mode only relaxes it for grown corpora)",
 				ErrCheckpointMismatch, name)
 		}
-		iters := make([]IterationResult, 0, len(wire.Iterations))
-		for _, w := range wire.Iterations {
-			iters = append(iters, IterationResult{
-				Iteration:         w.Iteration,
-				Triples:           w.Triples,
-				TaggedCandidates:  w.TaggedCandidates,
-				Veto:              w.Veto,
-				SemanticRemoved:   w.SemanticRemoved,
-				TrainingSequences: w.TrainingSequences,
-				Errors:            w.Errors,
-			})
-		}
-		return iters, grown, nil
+		return wire.Iterations, grown, nil
 	}
 	return nil, false, fmt.Errorf("pae: no readable checkpoint in %s: %w", dir, lastErr)
 }
 
+// readCheckpoint decodes the state file at path. A file whose iterations
+// are not numbered 1..n in order is rejected like a corrupt one: the resume
+// loop starts after the last entry's number and seeds training from it, so
+// the numbering must be the one this package writes.
 func readCheckpoint(path string) (*checkpointWire, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	var wire checkpointWire
-	if err := gob.NewDecoder(bufio.NewReader(f)).Decode(&wire); err != nil {
+	if err := readGob(path, &wire); err != nil {
 		return nil, fmt.Errorf("pae: checkpoint decode %s: %w", path, err)
 	}
 	if len(wire.Iterations) == 0 {
 		return nil, fmt.Errorf("pae: checkpoint %s has no iterations", path)
+	}
+	for i, ir := range wire.Iterations {
+		if ir.Iteration != i+1 {
+			return nil, fmt.Errorf("pae: checkpoint %s: entry %d is numbered iteration %d", path, i+1, ir.Iteration)
+		}
 	}
 	return &wire, nil
 }

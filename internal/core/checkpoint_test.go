@@ -1,16 +1,24 @@
 package core
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/bundle"
+	"repro/internal/cleaning"
 	"repro/internal/crf"
 	"repro/internal/faultinject"
 	"repro/internal/gen"
+	"repro/internal/obs"
+	"repro/internal/triples"
 )
 
 func ckptConfig() Config {
@@ -19,20 +27,23 @@ func ckptConfig() Config {
 
 func ckptCorpus(t *testing.T) Corpus {
 	t.Helper()
-	return corpusFor(gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 90}))
+	return corpusFor(generated(t, gen.VacuumCleaner(), 9, 90))
 }
 
-// uninterrupted runs the reference pipeline without checkpointing.
+// uninterrupted returns the reference pipeline run without checkpointing,
+// computed once per test binary; callers must not modify it.
 func uninterrupted(t *testing.T) *Result {
 	t.Helper()
-	res, err := New(ckptConfig()).Run(ckptCorpus(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Iterations) != 3 || !res.StopReason.Completed() {
-		t.Fatalf("reference run incomplete: %s", res.Describe())
-	}
-	return res
+	return memo(t, "uninterrupted", func() (*Result, error) {
+		res, err := New(ckptConfig()).Run(ckptCorpus(t))
+		if err != nil {
+			return nil, err
+		}
+		if len(res.Iterations) != 3 || !res.StopReason.Completed() {
+			return nil, fmt.Errorf("reference run incomplete: %s", res.Describe())
+		}
+		return res, nil
+	})
 }
 
 func TestCheckpointingDoesNotAlterResults(t *testing.T) {
@@ -179,6 +190,36 @@ func TestResumeFallsBackPastCorruptCheckpoint(t *testing.T) {
 	sameTriples(t, ref.FinalTriples(), resumed.FinalTriples())
 }
 
+// TestResumeFallsBackPastMisnumberedCheckpoint: a newest checkpoint that
+// decodes but whose iterations are not numbered 1..n is skipped like a
+// corrupt one. The resume loop starts after the last entry's number, so a
+// trailing "iteration -2" would otherwise rerun iterations -1, 0, 1, ….
+func TestResumeFallsBackPastMisnumberedCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	good := fuzzCkptIters[:1]
+	if _, err := saveCheckpoint(dir, fuzzCkptFP, "", fuzzCkptIdent, good, nil); err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]IterationResult(nil), fuzzCkptIters...)
+	bad[1].Iteration = -2
+	wire := checkpointWire{Version: checkpointVersion, Fingerprint: fuzzCkptFP, Corpus: fuzzCkptIdent.stamp, Iterations: bad}
+	if _, err := writeGob(checkpointPath(dir, 99), wire); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	rec := obs.New(obs.Options{Logger: slog.New(slog.NewTextHandler(&logged, nil))})
+	got, _, err := loadLatestCheckpoint(dir, fuzzCkptFP, "", fuzzCkptIdent, false, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, good) {
+		t.Fatalf("loaded iterations %+v, want the older checkpoint's %+v", got, good)
+	}
+	if !strings.Contains(logged.String(), "iter-099.ckpt") {
+		t.Fatalf("no warning names the skipped file; log:\n%s", logged.String())
+	}
+}
+
 func TestResumeWithEmptyDirStartsFresh(t *testing.T) {
 	cfg := ckptConfig()
 	cfg.Checkpoint = t.TempDir()
@@ -227,5 +268,96 @@ func TestFingerprintIsStable(t *testing.T) {
 	c.DisableSemanticCleaning = true
 	if c.withDefaults("ja").fingerprint() == a {
 		t.Fatal("fingerprint ignores configuration changes")
+	}
+}
+
+// The checkpoint every FuzzReadCheckpoint seed that should load was written
+// with, and what loadLatestCheckpoint is asked to accept.
+var (
+	fuzzCkptFP    = "fuzz"
+	fuzzCkptIdent = corpusIdent{stamp: corpusStamp{SHA256: "fuzz", Documents: 2, Shards: -1}}
+	fuzzCkptIters = []IterationResult{
+		{
+			Iteration:         1,
+			Triples:           []triples.Triple{{ProductID: "p1", Attribute: "重量", Value: "2kg"}},
+			TaggedCandidates:  3,
+			Veto:              cleaning.VetoStats{Symbol: 1, TooLong: 1},
+			TrainingSequences: 4,
+		},
+		{
+			Iteration: 2,
+			Triples: []triples.Triple{
+				{ProductID: "p1", Attribute: "重量", Value: "2kg"},
+				{ProductID: "p2", Attribute: "色", Value: "赤"},
+			},
+			TaggedCandidates:  5,
+			Veto:              cleaning.VetoStats{Markup: 1, Unpopular: 2},
+			SemanticRemoved:   1,
+			TrainingSequences: 6,
+			Errors:            []string{"checkpoint write failed"},
+		},
+	}
+)
+
+// TestParentFormatCheckpointDecodes: the parent-format seed was written when
+// the state file stored iterations through a private twin of
+// IterationResult; it still decodes to the iterations it was written with.
+func TestParentFormatCheckpointDecodes(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzReadCheckpoint", "parent-format"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit := strings.TrimSpace(strings.TrimPrefix(string(raw), "go test fuzz v1\n"))
+	data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lit, "[]byte("), ")"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "iter-002.ckpt")
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wire, err := readCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wire.Iterations, fuzzCkptIters) {
+		t.Fatalf("parent-format iterations = %+v, want %+v", wire.Iterations, fuzzCkptIters)
+	}
+}
+
+// FuzzReadCheckpoint feeds arbitrary bytes to the checkpoint decoder, and to
+// the loader as the only state file of a checkpoint directory. Neither
+// panics; each returns an error or at least one iteration, numbered 1..n.
+// The seeds under testdata/fuzz/FuzzReadCheckpoint stay under 4 KB.
+func FuzzReadCheckpoint(f *testing.F) {
+	dir := f.TempDir()
+	path := checkpointPath(dir, 1)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wire, err := readCheckpoint(path)
+		if (wire == nil) == (err == nil) {
+			t.Fatalf("readCheckpoint = %v, %v: want a checkpoint or an error", wire, err)
+		}
+		if err == nil {
+			checkNumbered(t, wire.Iterations)
+		}
+		iters, _, err := loadLatestCheckpoint(dir, fuzzCkptFP, "", fuzzCkptIdent, false, nil)
+		if err == nil {
+			checkNumbered(t, iters)
+		}
+	})
+}
+
+func checkNumbered(t *testing.T, iters []IterationResult) {
+	t.Helper()
+	if len(iters) == 0 {
+		t.Fatal("accepted a checkpoint with no iterations")
+	}
+	for i, ir := range iters {
+		if ir.Iteration != i+1 {
+			t.Fatalf("entry %d is numbered %d", i, ir.Iteration)
+		}
 	}
 }

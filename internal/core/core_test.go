@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/crf"
@@ -17,6 +19,37 @@ func corpusFor(gc *gen.Corpus) Corpus {
 		docs[i] = seed.Document{ID: p.ID, HTML: p.HTML}
 	}
 	return Corpus{Documents: docs, Queries: gc.Queries, Lang: gc.Lang}
+}
+
+// memo computes what several tests build identically — generated corpora,
+// reference bootstraps — once per test binary, keyed by everything that
+// shapes the value. A failed build fails every test that asks for it.
+// Callers treat the returned value as read-only: it is shared.
+func memo[T any](t *testing.T, key string, build func() (T, error)) T {
+	t.Helper()
+	v, _ := memos.LoadOrStore(key, new(memoEntry))
+	e := v.(*memoEntry)
+	e.once.Do(func() { e.val, e.err = build() })
+	if e.err != nil {
+		t.Fatalf("%s: %v", key, e.err)
+	}
+	return e.val.(T)
+}
+
+type memoEntry struct {
+	once sync.Once
+	val  any
+	err  error
+}
+
+var memos sync.Map // key → *memoEntry
+
+// generated is gen.Generate(cat, {Seed: seed, Items: items}) through memo.
+func generated(t *testing.T, cat gen.Category, seed uint64, items int) *gen.Corpus {
+	t.Helper()
+	return memo(t, fmt.Sprintf("gen|%s|%d|%d", cat.Name, seed, items), func() (*gen.Corpus, error) {
+		return gen.Generate(cat, gen.Options{Seed: seed, Items: items}), nil
+	})
 }
 
 func fastConfig() Config {

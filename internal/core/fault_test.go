@@ -16,7 +16,7 @@ import (
 // faultCorpus is one small generated corpus shared by the containment tests.
 func faultCorpus(t *testing.T) Corpus {
 	t.Helper()
-	return corpusFor(gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 90}))
+	return corpusFor(generated(t, gen.VacuumCleaner(), 9, 90))
 }
 
 func tripleKeys(ts []triples.Triple) map[string]bool {

@@ -21,7 +21,7 @@ import (
 // CPU is close to the go test timeout already.
 func obsCorpus(t *testing.T) Corpus {
 	t.Helper()
-	return corpusFor(gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 60}))
+	return corpusFor(generated(t, gen.VacuumCleaner(), 9, 60))
 }
 
 func obsConfig() Config {

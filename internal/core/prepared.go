@@ -73,7 +73,7 @@ func (p *prepared) cut() ([]seed.SentenceOf, error) {
 	if len(unit) == 0 {
 		return unit, nil
 	}
-	n, err := writeEntry(p.dir, entryName(p.entries), &shardEntry{Index: p.entries, Sents: unit})
+	n, err := writeGob(filepath.Join(p.dir, entryName(p.entries)), &shardEntry{Index: p.entries, Sents: unit})
 	if err != nil {
 		return nil, fmt.Errorf("pae: spill entry: %w", err)
 	}

@@ -32,10 +32,8 @@
 package core
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding"
-	"encoding/gob"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -130,40 +128,11 @@ func entryName(i int) string { return fmt.Sprintf("shard-%04d.gob", i) }
 
 // readEntry decodes the entry stored at path.
 func readEntry(path string) (*shardEntry, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("pae: shard entry: %w", err)
-	}
-	defer f.Close()
 	var e shardEntry
-	if err := gob.NewDecoder(bufio.NewReaderSize(f, 64<<10)).Decode(&e); err != nil {
-		return nil, fmt.Errorf("pae: shard entry decode %s: %w", path, err)
+	if err := readGob(path, &e); err != nil {
+		return nil, fmt.Errorf("pae: shard entry %s: %w", path, err)
 	}
 	return &e, nil
-}
-
-// writeEntry stores e as dir/name via temp + rename, so a reader never sees
-// a partial entry, and returns the bytes written.
-func writeEntry(dir, name string, e *shardEntry) (int64, error) {
-	tmp, err := os.CreateTemp(dir, ".shard-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	cw := &countingWriter{w: tmp}
-	bw := bufio.NewWriterSize(cw, 64<<10)
-	if err := gob.NewEncoder(bw).Encode(e); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	return cw.n, os.Rename(tmp.Name(), filepath.Join(dir, name))
 }
 
 // load reads and validates the entry for shard i. It returns nil (no error)
@@ -236,7 +205,7 @@ func (c *shardCache) commit(i int, sents []seed.SentenceOf) {
 	e.Sents = sents
 	err := os.MkdirAll(c.dir, 0o755)
 	if err == nil {
-		_, err = writeEntry(c.dir, entryName(i), e)
+		_, err = writeGob(filepath.Join(c.dir, entryName(i)), e)
 	}
 	if err != nil {
 		c.rec.Warn("shard-cache write failed; run continues", "index", i, "err", err)

@@ -7,9 +7,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash"
+	"io"
 	"os"
 	"path/filepath"
 
+	"repro/internal/atomicfile"
 	"repro/internal/gen"
 	"repro/internal/seed"
 	"repro/internal/workload"
@@ -296,24 +298,13 @@ func (w *Writer) Close() error {
 			return err
 		}
 	}
-	tmp, err := os.CreateTemp(w.dir, ".corpus-*")
+	_, err := atomicfile.Write(filepath.Join(w.dir, manifestFile), func(f io.Writer) error {
+		enc := json.NewEncoder(f)
+		enc.SetIndent("", " ")
+		return enc.Encode(w.manifest)
+	})
 	if err != nil {
-		return fmt.Errorf("corpus: manifest temp: %w", err)
+		return fmt.Errorf("corpus: write manifest: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	bw := bufio.NewWriter(tmp)
-	enc := json.NewEncoder(bw)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(w.manifest); err != nil {
-		tmp.Close()
-		return fmt.Errorf("corpus: encode manifest: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(w.dir, manifestFile))
+	return nil
 }

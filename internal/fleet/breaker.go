@@ -43,9 +43,6 @@ func (br *breaker) state(now time.Time) breakerState {
 	}
 }
 
-// closed reports whether the circuit is fully closed (normal routing).
-func (br *breaker) closed(now time.Time) bool { return br.state(now) == breakerClosed }
-
 // tryTrial consumes the single half-open trial slot. It returns true only
 // when the cooldown has elapsed and no other trial is in flight.
 func (br *breaker) tryTrial(now time.Time) bool {

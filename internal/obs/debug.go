@@ -1,10 +1,5 @@
-//go:build !obsnodebug
-
 // The live debug endpoint: net/http/pprof profiles, expvar, and the current
-// run report, served from -debug-addr on cmd/paerun and cmd/paebench. The
-// obsnodebug build tag swaps this file for a stub (debug_stub.go) so binaries
-// that must not link net/http can drop the endpoint; `make verify` vets both
-// configurations.
+// run report, served from -debug-addr on cmd/paerun and cmd/paebench.
 
 package obs
 
@@ -75,8 +70,7 @@ func StartDebugServer(addr string, rec *Recorder) (io.Closer, string, error) {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		// Prometheus text exposition of the live registry, next to pprof —
 		// so a scraper can follow a bootstrap the same way it follows the
-		// serving fleet. The formatter itself is http-free (prom.go); only
-		// this mount is gated by the obsnodebug tag.
+		// serving fleet.
 		w.Header().Set("Content-Type", ContentTypePrometheus)
 		_ = rec.WritePrometheus(w)
 	})

@@ -1,5 +1,3 @@
-//go:build !obsnodebug
-
 package obs
 
 import (

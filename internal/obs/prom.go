@@ -10,8 +10,7 @@ import (
 // Prometheus text exposition (the v0.0.4 text format) from a Recorder's
 // shared registry — counters, gauges, run-lifetime histograms and rolling
 // windows, all pure stdlib. The HTTP wrapping lives with the callers
-// (internal/serve, internal/fleet, the debug endpoint) so this file never
-// links net/http and the obsnodebug build tag keeps working.
+// (internal/serve, internal/fleet, the debug endpoint).
 
 // ContentTypePrometheus is the Content-Type of the exposition body.
 const ContentTypePrometheus = "text/plain; version=0.0.4; charset=utf-8"

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/fleet"
@@ -141,73 +142,39 @@ func (c *Client) Promote(ctx context.Context, bundlePath, wantFP string) (*Rollo
 		// fingerprints, so rolling faster than the probes would leave several
 		// entries stale at once; pacing the roll keeps the mix at one stale
 		// backend at worst, which the router's pin-drain fallback absorbs.
-		if err := c.waitBackend(ctx, b.URL, wantFP); err != nil {
+		url := b.URL
+		if err := c.waitFleet(ctx, wantFP, func(b fleet.BackendStatus) bool { return b.URL == url },
+			fmt.Sprintf("router never observed %.12s on %s", wantFP, url)); err != nil {
 			return nil, err
 		}
 	}
-	if err := c.waitConverged(ctx, wantFP); err != nil {
+	if err := c.waitFleet(ctx, wantFP, func(fleet.BackendStatus) bool { return true },
+		fmt.Sprintf("fleet did not converge on %.12s", wantFP)); err != nil {
 		return nil, err
 	}
 	return ro, nil
 }
 
-// waitBackend polls GET /fleet until the router's row for backendURL reports
-// fp. A backend the router no longer lists counts as converged — the fleet
-// may have been reconfigured under the rollout.
-func (c *Client) waitBackend(ctx context.Context, backendURL, fp string) error {
+// waitFleet polls GET /fleet until every backend row that watch selects
+// reports fp; a row it does not select, or a backend the router no longer
+// lists, counts as converged — the fleet may have been reconfigured under the
+// rollout. The router's fingerprint view refreshes on its health-probe
+// cadence, so the poll is bounded by the context, not a fixed deadline, and
+// never names what the caller was waiting for when the context ends first.
+func (c *Client) waitFleet(ctx context.Context, fp string, watch func(fleet.BackendStatus) bool, never string) error {
 	if fp == "" {
 		return nil
 	}
+	stale := func(b fleet.BackendStatus) bool { return watch(b) && b.Fingerprint != fp }
 	tick := time.NewTicker(50 * time.Millisecond)
 	defer tick.Stop()
 	for {
-		backends, err := c.Backends(ctx)
-		if err == nil {
-			done := true
-			for _, b := range backends {
-				if b.URL == backendURL && b.Fingerprint != fp {
-					done = false
-					break
-				}
-			}
-			if done {
-				return nil
-			}
+		if backends, err := c.Backends(ctx); err == nil && !slices.ContainsFunc(backends, stale) {
+			return nil
 		}
 		select {
 		case <-ctx.Done():
-			return fmt.Errorf("%w: router never observed %.12s on %s: %v", ErrRollout, fp, backendURL, ctx.Err())
-		case <-tick.C:
-		}
-	}
-}
-
-// waitConverged polls GET /fleet until every backend reports fp. The
-// router's fingerprint view refreshes on its health-probe cadence, so the
-// poll is bounded by the context, not a fixed deadline.
-func (c *Client) waitConverged(ctx context.Context, fp string) error {
-	if fp == "" {
-		return nil
-	}
-	tick := time.NewTicker(50 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		backends, err := c.Backends(ctx)
-		if err == nil {
-			done := true
-			for _, b := range backends {
-				if b.Fingerprint != fp {
-					done = false
-					break
-				}
-			}
-			if done {
-				return nil
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("%w: fleet did not converge on %.12s: %v", ErrRollout, fp, ctx.Err())
+			return fmt.Errorf("%w: %s: %v", ErrRollout, never, ctx.Err())
 		case <-tick.C:
 		}
 	}

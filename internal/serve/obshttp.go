@@ -10,9 +10,7 @@ import (
 )
 
 // HTTP exposition of the observability registry and the per-request record,
-// shared by the serving core and the fleet router. These live here (not in
-// internal/obs) so the obsnodebug build tag can keep stripping net/http from
-// internal/obs: serve-tier packages link net/http unconditionally anyway.
+// shared by the serving core and the fleet router.
 
 // MetricsHandler serves a Recorder's counters, gauges, histograms and
 // rolling windows in the Prometheus text format — the GET /metrics scrape

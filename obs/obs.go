@@ -140,8 +140,7 @@ func New(opts Options) *Recorder { return obs.New(opts) }
 func ReadReport(path string) (*Report, error) { return obs.ReadReport(path) }
 
 // StartDebugServer serves net/http/pprof, expvar and the live run report
-// on addr (see cmd/paerun -debug-addr). Builds with -tags obsnodebug get a
-// stub that returns an error instead of linking net/http.
+// on addr (see cmd/paerun -debug-addr).
 var StartDebugServer = obs.StartDebugServer
 
 // StartCPUProfile starts a CPU profile written to path; call the returned
