@@ -118,16 +118,18 @@ loop-smoke:
 	PAE_LOOP_SMOKE=1 $(GO) test -count=1 -run 'TestLoopSmoke' -v ./cmd/paepromote
 
 ## fuzz runs each fuzz target briefly; the checked-in corpora under
-## testdata/fuzz/ are replayed by plain `make test` as well.
+## testdata/fuzz/ are replayed by plain `make test` as well. Minimising a new
+## input is capped at 2 s: go's default of 60 s outlasts FUZZTIME, so a worker
+## would spend the rest of the run shrinking its first find.
 FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzDiscoverCandidates -fuzztime=$(FUZZTIME) ./internal/seed
-	$(GO) test -run=^$$ -fuzz=FuzzTitleSeed -fuzztime=$(FUZZTIME) ./internal/seed
-	$(GO) test -run=^$$ -fuzz=FuzzLex -fuzztime=$(FUZZTIME) ./internal/htmlx
-	$(GO) test -run=^$$ -fuzz=FuzzDecodeModel -fuzztime=$(FUZZTIME) ./internal/bundle
-	$(GO) test -run=^$$ -fuzz=FuzzLoadBundle -fuzztime=$(FUZZTIME) ./internal/bundle
-	$(GO) test -run=^$$ -fuzz=FuzzShardEntry -fuzztime=$(FUZZTIME) ./internal/core
-	$(GO) test -run=^$$ -fuzz=FuzzReadCheckpoint -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzDiscoverCandidates -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/seed
+	$(GO) test -run=^$$ -fuzz=FuzzTitleSeed -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/seed
+	$(GO) test -run=^$$ -fuzz=FuzzLex -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/htmlx
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeModel -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/bundle
+	$(GO) test -run=^$$ -fuzz=FuzzLoadBundle -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/bundle
+	$(GO) test -run=^$$ -fuzz=FuzzShardEntry -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzReadCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s ./internal/core
 
 clean:
 	$(GO) clean -testcache

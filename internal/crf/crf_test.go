@@ -75,7 +75,7 @@ func TestForwardBackwardLogZMatchesBruteForce(t *testing.T) {
 		m := tinyModel(seed)
 		feats := seqFeats(5)
 		fb := newFB(len(m.labels))
-		fb.run(m, &encodedSeq{feats: feats}, 5)
+		fb.run(m, m.expTrans(nil), &encodedSeq{feats: feats}, 5)
 		want, _ := bruteForce(m, feats)
 		if math.Abs(fb.logZ-want) > 1e-8 {
 			t.Fatalf("seed %d: logZ = %v, brute force = %v", seed, fb.logZ, want)
@@ -87,7 +87,7 @@ func TestMarginalsSumToOne(t *testing.T) {
 	m := tinyModel(3)
 	feats := seqFeats(6)
 	fb := newFB(len(m.labels))
-	fb.run(m, &encodedSeq{feats: feats}, 6)
+	fb.run(m, m.expTrans(nil), &encodedSeq{feats: feats}, 6)
 	L := len(m.labels)
 	for pos := 0; pos < 6; pos++ {
 		var sum float64
@@ -104,13 +104,14 @@ func TestEdgeMarginalsSumToOne(t *testing.T) {
 	m := tinyModel(4)
 	feats := seqFeats(4)
 	fb := newFB(len(m.labels))
-	fb.run(m, &encodedSeq{feats: feats}, 4)
+	transExp := m.expTrans(nil)
+	fb.run(m, transExp, &encodedSeq{feats: feats}, 4)
 	L := len(m.labels)
 	for pos := 1; pos < 4; pos++ {
 		var sum float64
 		for p := 0; p < L; p++ {
 			for y := 0; y < L; y++ {
-				sum += fb.alpha[(pos-1)*L+p] * fb.transExp[p*L+y] *
+				sum += fb.alpha[(pos-1)*L+p] * transExp[p*L+y] *
 					fb.emitExp[pos*L+y] * fb.beta[pos*L+y] / fb.scale[pos]
 			}
 		}
@@ -324,6 +325,50 @@ func TestTrainingDeterministic(t *testing.T) {
 	for i := range ga {
 		if ga[i] != gb[i] {
 			t.Fatal("nondeterministic predictions across identical runs")
+		}
+	}
+}
+
+// TestDecoderConfidenceSharesTransitionTable: a Decoder exponentiates the
+// transition weights once, on its first confidence call, and every later
+// sentence reads that table; the confidences stay bitwise equal to those of
+// a fresh Decoder per sentence.
+func TestDecoderConfidenceSharesTransitionTable(t *testing.T) {
+	model, err := Trainer{Config: Config{MaxIter: 20}}.Fit(trainToy(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := model.(*Model)
+	d := m.NewDecoder()
+	seqs := []tagger.Sequence{
+		{Tokens: []string{"weight", "is", "3", "kg", "total"}, PoS: []string{"NN", "PART", "NUM", "UNIT", "NN"}},
+		{Tokens: []string{"color", "is", "red"}, PoS: []string{"NN", "PART", "NN"}},
+		{Tokens: []string{"total"}, PoS: []string{"NN"}},
+		{Tokens: []string{"color", "is", "pink", "and", "weight", "is", "9", "kg"}, PoS: []string{"NN", "PART", "NN", "PART", "NN", "PART", "NUM", "UNIT"}},
+	}
+	d.Predict(seqs[0])
+	if d.transExp != nil {
+		t.Fatal("Predict filled the transition table; only confidence calls need it")
+	}
+	var table *float64
+	for i, seq := range seqs {
+		gotL, gotC := d.PredictWithConfidence(seq)
+		if i == 0 {
+			table = &d.transExp[0]
+			for j, w := range m.trans {
+				if d.transExp[j] != math.Exp(w) {
+					t.Fatalf("transExp[%d] = %v, want exp(%v)", j, d.transExp[j], w)
+				}
+			}
+		} else if &d.transExp[0] != table {
+			t.Fatalf("sentence %d: transition table recomputed", i)
+		}
+		wantL, wantC := m.NewDecoder().PredictWithConfidence(seq)
+		for k := range wantL {
+			if gotL[k] != wantL[k] || math.Float64bits(gotC[k]) != math.Float64bits(wantC[k]) {
+				t.Fatalf("sentence %d tok %d: reused decoder (%s %v) vs fresh (%s %v)",
+					i, k, gotL[k], gotC[k], wantL[k], wantC[k])
+			}
 		}
 	}
 }

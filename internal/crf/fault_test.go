@@ -1,7 +1,10 @@
 package crf
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -105,6 +108,34 @@ func TestFitDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if m.cfg.Workers != 0 {
 			t.Fatalf("workers=%d: trained model kept Workers=%d, want 0", workers, m.cfg.Workers)
+		}
+	}
+}
+
+// fitGoldenSHA256 is the SHA-256 of the saved bytes of trainToy(50) trained
+// with Config{MaxIter: 30}. It was recorded before the objective evaluation
+// shared one transition-exp table across partitions and reused the
+// forward–backward emission scores for the gold path; those changes must not
+// move a single bit of the model.
+const fitGoldenSHA256 = "04e979998e9e8f90db3de2761a313dd12ffd78b0d9a6b3cdc236f58d764af2b4"
+
+// TestFitGolden pins the trained model's bytes across versions of the
+// training loop. The default L1 keeps OWL-QN's orthant logic in play, and
+// Workers 1 and 8 cover the serial and fully partitioned schedules.
+func TestFitGolden(t *testing.T) {
+	train := trainToy(50)
+	for _, workers := range []int{1, 8} {
+		model, err := Trainer{Config: Config{MaxIter: 30, Workers: workers}}.Fit(train)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		var buf bytes.Buffer
+		if err := model.(*Model).Save(&buf); err != nil {
+			t.Fatalf("workers=%d: save: %v", workers, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != fitGoldenSHA256 {
+			t.Fatalf("workers=%d: model SHA-256 = %s, want %s", workers, got, fitGoldenSHA256)
 		}
 	}
 }

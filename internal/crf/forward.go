@@ -18,15 +18,14 @@ type encodedSeq struct {
 // marginal is alphaHat*betaHat and the edge marginal carries an extra
 // 1/c_{t+1}.
 type fb struct {
-	L        int
-	alpha    []float64 // n*L, scaled forward
-	beta     []float64 // n*L, scaled backward
-	scale    []float64 // n, the c_t factors
-	emitExp  []float64 // n*L, exp(emission - rowmax)
-	emitMax  []float64 // n, per-position emission max (for logZ)
-	transExp []float64 // (L+1)*L, exp(transition)
-	scores   []float64 // L, emission-score scratch
-	logZ     float64
+	L       int
+	alpha   []float64 // n*L, scaled forward
+	beta    []float64 // n*L, scaled backward
+	scale   []float64 // n, the c_t factors
+	scores  []float64 // n*L, raw emission scores
+	emitExp []float64 // n*L, exp(emission - rowmax)
+	emitMax []float64 // n, per-position emission max (for logZ)
+	logZ    float64
 }
 
 func newFB(L int) *fb { return &fb{L: L} }
@@ -36,10 +35,12 @@ func (f *fb) resize(n int) {
 	if cap(f.alpha) < need {
 		f.alpha = make([]float64, need)
 		f.beta = make([]float64, need)
+		f.scores = make([]float64, need)
 		f.emitExp = make([]float64, need)
 	}
 	f.alpha = f.alpha[:need]
 	f.beta = f.beta[:need]
+	f.scores = f.scores[:need]
 	f.emitExp = f.emitExp[:need]
 	if cap(f.scale) < n {
 		f.scale = make([]float64, n)
@@ -47,25 +48,32 @@ func (f *fb) resize(n int) {
 	}
 	f.scale = f.scale[:n]
 	f.emitMax = f.emitMax[:n]
-	if len(f.transExp) != (f.L+1)*f.L {
-		f.transExp = make([]float64, (f.L+1)*f.L)
+}
+
+// expTrans returns exp of every transition weight of m, in m.trans's
+// (L+1)·L layout, reusing dst's storage when it is large enough. The weights
+// are fixed for a whole objective evaluation (and for a served model's
+// lifetime), so callers compute the table once and share it read-only.
+func (m *Model) expTrans(dst []float64) []float64 {
+	if cap(dst) < len(m.trans) {
+		dst = make([]float64, len(m.trans))
 	}
-	if len(f.scores) != f.L {
-		f.scores = make([]float64, f.L)
+	dst = dst[:len(m.trans)]
+	for i, w := range m.trans {
+		dst[i] = math.Exp(w)
 	}
+	return dst
 }
 
 // run executes scaled forward–backward over the first n positions of enc and
-// stores alpha, beta, scale and logZ.
-func (f *fb) run(m *Model, enc *encodedSeq, n int) {
+// stores the raw emission scores, alpha, beta, scale and logZ. transExp is
+// m.expTrans's table for m's current weights.
+func (f *fb) run(m *Model, transExp []float64, enc *encodedSeq, n int) {
 	L := f.L
 	f.resize(n)
-	for i, w := range m.trans {
-		f.transExp[i] = math.Exp(w)
-	}
 	// Emission potentials with per-position max subtraction for stability.
-	scores := f.scores
 	for t := 0; t < n; t++ {
+		scores := f.scores[t*L : (t+1)*L]
 		m.emissionScores(scores, enc.feats[t])
 		maxS := scores[0]
 		for _, s := range scores[1:] {
@@ -80,7 +88,7 @@ func (f *fb) run(m *Model, enc *encodedSeq, n int) {
 		}
 	}
 	// Forward.
-	bos := f.transExp[L*L:]
+	bos := transExp[L*L:]
 	var logZ float64
 	a0 := f.alpha[:L]
 	var c float64
@@ -109,7 +117,7 @@ func (f *fb) run(m *Model, enc *encodedSeq, n int) {
 			if ap == 0 {
 				continue
 			}
-			trow := f.transExp[p*L : (p+1)*L]
+			trow := transExp[p*L : (p+1)*L]
 			for y := 0; y < L; y++ {
 				cur[y] += ap * trow[y]
 			}
@@ -141,7 +149,7 @@ func (f *fb) run(m *Model, enc *encodedSeq, n int) {
 		emitNext := f.emitExp[(t+1)*L : (t+2)*L]
 		cNext := f.scale[t+1]
 		for y := 0; y < L; y++ {
-			trow := f.transExp[y*L : (y+1)*L]
+			trow := transExp[y*L : (y+1)*L]
 			var s float64
 			for q := 0; q < L; q++ {
 				s += trow[q] * emitNext[q] * next[q]

@@ -70,6 +70,10 @@ type Decoder struct {
 	emitBuf []float64
 	enc     encodedSeq
 	fb      *fb
+	// transExp is m.expTrans's table, filled by the first confidence call:
+	// a decoder may be minted before the model's weights exist (Fit interns
+	// its training set through one).
+	transExp []float64
 }
 
 // NewDecoder mints a decoder for use by a single goroutine.
@@ -122,7 +126,10 @@ func (d *Decoder) PredictWithConfidence(seq tagger.Sequence) ([]string, []float6
 	feats := d.featureIDs(seq)
 	d.viterbi(labels, feats, n)
 	d.enc.feats = feats
-	d.fb.run(m, &d.enc, n)
+	if d.transExp == nil {
+		d.transExp = m.expTrans(nil)
+	}
+	d.fb.run(m, d.transExp, &d.enc, n)
 	L := len(m.labels)
 	for t := 0; t < n; t++ {
 		y := m.labelIdx[labels[t]]

@@ -96,9 +96,63 @@ func (tr Trainer) Fit(train []tagger.Sequence) (tagger.Model, error) {
 	if len(train) == 0 {
 		return nil, fmt.Errorf("crf: empty training set: %w", tagger.ErrDegenerateTraining)
 	}
+	m, encoded, err := encodeTraining(train, cfg)
+	if err != nil {
+		return nil, err
+	}
+	L := len(m.labels)
+	F := len(m.featIdx)
+	nParams := F*L + (L+1)*L
+
+	grad := newGradientWorkers(m, encoded, cfg, tr.Ctx, tr.Inject)
+	theta := make([]float64, nParams)
+	obj := grad.compute
+	if tr.Inject != nil {
+		inner := obj
+		obj = func(theta, g []float64) (float64, error) {
+			loss, err := inner(theta, g)
+			if tr.Inject.Poison(faultinject.StageCRFLineSearch) {
+				return math.NaN(), err
+			}
+			return loss, err
+		}
+	}
+	scope := tr.ObsScope
+	if scope == "" {
+		scope = "fit"
+	}
+	tr.Obs.Set("crf.features", float64(F))
+	tr.Obs.Set("crf.labels", float64(L))
+	tr.Obs.Set("crf.parameters", float64(nParams))
+	var trace func(int, float64, float64, int)
+	if tr.Obs != nil {
+		trace = func(iter int, loss, gnorm float64, evals int) {
+			tr.Obs.SeriesAdd("crf."+scope+".loss", iter, loss)
+			tr.Obs.SeriesAdd("crf."+scope+".grad_norm", iter, gnorm)
+			tr.Obs.Add("crf.linesearch_evals", int64(evals))
+			tr.Obs.Add("crf.optimizer_iterations", 1)
+			tr.Obs.Debug("crf optimizer step",
+				"scope", scope, "iter", iter, "loss", loss, "grad_norm", gnorm, "evals", evals)
+		}
+	}
+	if err := optimize(tr.Ctx, theta, cfg.L1, cfg.MaxIter, obj, trace); err != nil {
+		return nil, err
+	}
+	m.emit = theta[:F*L]
+	m.trans = theta[F*L:]
+	// The parallelism knob is a property of the machine that trained, not of
+	// the model; drop it so saved artifacts are identical across machines.
+	m.cfg.Workers = 0
+	return m, nil
+}
+
+// encodeTraining builds the label and feature alphabets of train and interns
+// every non-empty sequence into feature and label ids. It returns the model
+// skeleton those ids index; its weights are unset.
+func encodeTraining(train []tagger.Sequence, cfg Config) (*Model, []*encodedSeq, error) {
 	labels := tagger.LabelSet(train)
 	if len(labels) < 2 {
-		return nil, fmt.Errorf("crf: training set has no labeled spans: %w", tagger.ErrDegenerateTraining)
+		return nil, nil, fmt.Errorf("crf: training set has no labeled spans: %w", tagger.ErrDegenerateTraining)
 	}
 	labelIdx := make(map[string]int, len(labels))
 	for i, l := range labels {
@@ -134,8 +188,6 @@ func (tr Trainer) Fit(train []tagger.Sequence) (tagger.Model, error) {
 		labelIdx: labelIdx,
 		featIdx:  featIdx,
 	}
-	L := len(labels)
-	nParams := len(featIdx)*L + (L+1)*L
 
 	// Encode sequences once, through the Decoder path tagging uses; the
 	// decoder reuses its row buffers, so each kept row is copied out.
@@ -156,63 +208,9 @@ func (tr Trainer) Fit(train []tagger.Sequence) (tagger.Model, error) {
 		encoded = append(encoded, enc)
 	}
 	if len(encoded) == 0 {
-		return nil, fmt.Errorf("crf: no non-empty sequences: %w", tagger.ErrDegenerateTraining)
+		return nil, nil, fmt.Errorf("crf: no non-empty sequences: %w", tagger.ErrDegenerateTraining)
 	}
-
-	empirical := make([]float64, nParams)
-	emitOff := func(f, y int) int { return f*L + y }
-	transOff := func(p, y int) int { return len(featIdx)*L + p*L + y }
-	for _, enc := range encoded {
-		prev := L // BOS
-		for t, y := range enc.labels {
-			for _, f := range enc.feats[t] {
-				empirical[emitOff(f, y)]++
-			}
-			empirical[transOff(prev, y)]++
-			prev = y
-		}
-	}
-
-	grad := newGradientWorkers(m, encoded, empirical, cfg, tr.Ctx, tr.Inject)
-	theta := make([]float64, nParams)
-	obj := grad.compute
-	if tr.Inject != nil {
-		inner := obj
-		obj = func(theta, g []float64) (float64, error) {
-			loss, err := inner(theta, g)
-			if tr.Inject.Poison(faultinject.StageCRFLineSearch) {
-				return math.NaN(), err
-			}
-			return loss, err
-		}
-	}
-	scope := tr.ObsScope
-	if scope == "" {
-		scope = "fit"
-	}
-	tr.Obs.Set("crf.features", float64(len(featIdx)))
-	tr.Obs.Set("crf.labels", float64(len(labels)))
-	tr.Obs.Set("crf.parameters", float64(nParams))
-	var trace func(int, float64, float64, int)
-	if tr.Obs != nil {
-		trace = func(iter int, loss, gnorm float64, evals int) {
-			tr.Obs.SeriesAdd("crf."+scope+".loss", iter, loss)
-			tr.Obs.SeriesAdd("crf."+scope+".grad_norm", iter, gnorm)
-			tr.Obs.Add("crf.linesearch_evals", int64(evals))
-			tr.Obs.Add("crf.optimizer_iterations", 1)
-			tr.Obs.Debug("crf optimizer step",
-				"scope", scope, "iter", iter, "loss", loss, "grad_norm", gnorm, "evals", evals)
-		}
-	}
-	if err := optimize(tr.Ctx, theta, cfg.L1, cfg.MaxIter, obj, trace); err != nil {
-		return nil, err
-	}
-	m.emit = theta[:len(featIdx)*L]
-	m.trans = theta[len(featIdx)*L:]
-	// The parallelism knob is a property of the machine that trained, not of
-	// the model; drop it so saved artifacts are identical across machines.
-	m.cfg.Workers = 0
-	return m, nil
+	return m, encoded, nil
 }
 
 // gradParts is the fixed number of gradient-reduction partitions. Sequence i
@@ -238,9 +236,25 @@ type gradientWorkers struct {
 	bufs      [][]float64 // one dense gradient buffer per partition
 	fbs       []*fb
 	losses    []float64
+	transExp  []float64 // exp(m.trans) for the evaluation in progress
 }
 
-func newGradientWorkers(m *Model, encoded []*encodedSeq, empirical []float64, cfg Config, ctx context.Context, inject *faultinject.Injector) *gradientWorkers {
+func newGradientWorkers(m *Model, encoded []*encodedSeq, cfg Config, ctx context.Context, inject *faultinject.Injector) *gradientWorkers {
+	L := len(m.labels)
+	F := len(m.featIdx)
+	// Empirical feature counts of the gold paths, the constant part of the
+	// gradient.
+	empirical := make([]float64, F*L+(L+1)*L)
+	for _, enc := range encoded {
+		prev := L // BOS
+		for t, y := range enc.labels {
+			for _, f := range enc.feats[t] {
+				empirical[f*L+y]++
+			}
+			empirical[F*L+prev*L+y]++
+			prev = y
+		}
+	}
 	g := &gradientWorkers{m: m, encoded: encoded, empirical: empirical, cfg: cfg, ctx: ctx, inject: inject}
 	parts := gradParts
 	if len(encoded) < parts {
@@ -251,7 +265,7 @@ func newGradientWorkers(m *Model, encoded []*encodedSeq, empirical []float64, cf
 	g.losses = make([]float64, parts)
 	for i := 0; i < parts; i++ {
 		g.bufs[i] = make([]float64, len(empirical))
-		g.fbs[i] = newFB(len(m.labels))
+		g.fbs[i] = newFB(L)
 	}
 	return g
 }
@@ -265,6 +279,9 @@ func (g *gradientWorkers) compute(theta, grad []float64) (float64, error) {
 	F := len(g.m.featIdx)
 	g.m.emit = theta[:F*L]
 	g.m.trans = theta[F*L:]
+	// The transition weights are fixed for this evaluation: exponentiate them
+	// once, and every partition reads the same table.
+	g.transExp = g.m.expTrans(g.transExp)
 
 	parts := len(g.bufs)
 	if err := par.ForEach(g.ctx, g.cfg.Workers, parts, func(p int) error {
@@ -314,7 +331,7 @@ func (g *gradientWorkers) sequenceGrad(enc *encodedSeq, fb *fb, buf []float64) f
 	n := len(enc.feats)
 	L := len(g.m.labels)
 	F := len(g.m.featIdx)
-	fb.run(g.m, enc, n)
+	fb.run(g.m, g.transExp, enc, n)
 
 	transBase := F * L
 	// Expected emission counts via state marginals; BOS transition via the
@@ -346,20 +363,18 @@ func (g *gradientWorkers) sequenceGrad(enc *encodedSeq, fb *fb, buf []float64) f
 			if ap == 0 {
 				continue
 			}
-			trow := fb.transExp[p*L : (p+1)*L]
+			trow := g.transExp[p*L : (p+1)*L]
 			dst := buf[transBase+p*L : transBase+(p+1)*L]
 			for y := 0; y < L; y++ {
 				dst[y] += ap * trow[y] * emitCur[y] * bCur[y] * invC
 			}
 		}
 	}
-	// Gold path score.
+	// Gold path score, from the emission scores forward–backward kept.
 	var gold float64
 	prev := L
-	scores := fb.scores
 	for t, y := range enc.labels {
-		g.m.emissionScores(scores, enc.feats[t])
-		gold += scores[y] + g.m.trans[prev*L+y]
+		gold += fb.scores[t*L+y] + g.m.trans[prev*L+y]
 		prev = y
 	}
 	return fb.logZ - gold
