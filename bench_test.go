@@ -7,7 +7,6 @@ import (
 	"repro/internal/crf"
 	"repro/internal/gen"
 	"repro/internal/obs"
-	"repro/internal/seed"
 )
 
 // Observability-overhead benchmarks: the same bootstrap with the recorder
@@ -21,11 +20,7 @@ import (
 func benchBootstrap(b *testing.B, rec *obs.Recorder) {
 	b.Helper()
 	gc := gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 90})
-	docs := make([]seed.Document, len(gc.Pages))
-	for i, p := range gc.Pages {
-		docs[i] = seed.Document{ID: p.ID, HTML: p.HTML}
-	}
-	corpus := core.Corpus{Documents: docs, Queries: gc.Queries, Lang: gc.Lang}
+	corpus := core.Corpus{Documents: gc.Pages, Queries: gc.Queries, Lang: gc.Lang}
 	cfg := core.Config{Iterations: 2, CRF: crf.Config{MaxIter: 30}, Obs: rec}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -39,7 +39,6 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/gen"
-	"repro/internal/seed"
 	"repro/internal/workload"
 )
 
@@ -92,7 +91,7 @@ func main() {
 		generate = gen.GenerateTitlesStreamCtx
 	}
 	c, err := generate(context.Background(), cat, opt, func(p gen.PageResult) error {
-		return w.WritePage(seed.Document{ID: p.Page.ID, HTML: p.Page.HTML})
+		return w.WritePage(p.Page)
 	})
 	if err != nil {
 		fatal(err)
@@ -153,7 +152,7 @@ func appendCorpus(dir string, items int, seedV uint64, wkFlag, nameFlag string, 
 		generate = gen.GenerateTitlesStreamCtx
 	}
 	c, err := generate(context.Background(), cat, opt, func(p gen.PageResult) error {
-		return w.WritePage(seed.Document{ID: p.Page.ID, HTML: p.Page.HTML})
+		return w.WritePage(p.Page)
 	})
 	if err != nil {
 		fatal(err)

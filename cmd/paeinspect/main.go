@@ -22,7 +22,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/gen"
 	"repro/internal/lstm"
-	"repro/internal/seed"
 )
 
 func main() {
@@ -65,10 +64,6 @@ func main() {
 		os.Exit(2)
 	}
 	gc := gen.Generate(cat, gen.Options{Seed: *seedV, Items: *items})
-	docs := make([]seed.Document, len(gc.Pages))
-	for i, p := range gc.Pages {
-		docs[i] = seed.Document{ID: p.ID, HTML: p.HTML}
-	}
 	cfg := core.Config{
 		Iterations:               *iters,
 		CRF:                      crf.Config{MaxIter: 40},
@@ -79,7 +74,7 @@ func main() {
 		cfg.Model = core.RNN
 		cfg.LSTM = lstm.Config{Epochs: *epochs}
 	}
-	res, err := core.New(cfg).Run(core.Corpus{Documents: docs, Queries: gc.Queries, Lang: gc.Lang})
+	res, err := core.New(cfg).Run(core.Corpus{Documents: gc.Pages, Queries: gc.Queries, Lang: gc.Lang})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

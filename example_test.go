@@ -14,12 +14,8 @@ func Example() {
 	cat, _ := synth.CategoryByName("Tennis")
 	corpus := synth.Generate(cat, synth.Options{Seed: 1, Items: 80})
 
-	docs := make([]pae.Document, len(corpus.Pages))
-	for i, p := range corpus.Pages {
-		docs[i] = pae.Document{ID: p.ID, HTML: p.HTML}
-	}
 	result, err := pae.Run(
-		pae.Corpus{Documents: docs, Queries: corpus.Queries, Lang: "ja"},
+		pae.Corpus{Documents: corpus.Pages, Queries: corpus.Queries, Lang: "ja"},
 		pae.Config{Iterations: 1},
 	)
 	if err != nil {

@@ -14,11 +14,7 @@ import (
 func main() {
 	cat, _ := synth.CategoryByName("Garden")
 	corpus := synth.Generate(cat, synth.Options{Seed: 5, Items: 240})
-	docs := make([]pae.Document, len(corpus.Pages))
-	for i, p := range corpus.Pages {
-		docs[i] = pae.Document{ID: p.ID, HTML: p.HTML}
-	}
-	input := pae.Corpus{Documents: docs, Queries: corpus.Queries, Lang: "ja"}
+	input := pae.Corpus{Documents: corpus.Pages, Queries: corpus.Queries, Lang: "ja"}
 	truth := metrics.NewTruth(corpus)
 
 	configs := []struct {
@@ -40,6 +36,6 @@ func main() {
 		final := res.FinalTriples()
 		rep := truth.Judge(final)
 		fmt.Printf("%-22s  %-9.2f  %-8.2f\n",
-			c.name, rep.Precision(), metrics.Coverage(final, len(docs)))
+			c.name, rep.Precision(), metrics.Coverage(final, len(corpus.Pages)))
 	}
 }

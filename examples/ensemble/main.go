@@ -15,11 +15,7 @@ import (
 func main() {
 	cat, _ := synth.CategoryByName("Ladies Bags")
 	corpus := synth.Generate(cat, synth.Options{Seed: 13, Items: 180})
-	docs := make([]pae.Document, len(corpus.Pages))
-	for i, p := range corpus.Pages {
-		docs[i] = pae.Document{ID: p.ID, HTML: p.HTML}
-	}
-	input := pae.Corpus{Documents: docs, Queries: corpus.Queries, Lang: "ja"}
+	input := pae.Corpus{Documents: corpus.Pages, Queries: corpus.Queries, Lang: "ja"}
 	truth := metrics.NewTruth(corpus)
 
 	show := func(name string, cfg pae.Config) {
@@ -30,7 +26,7 @@ func main() {
 		final := res.FinalTriples()
 		rep := truth.Judge(final)
 		fmt.Printf("%-22s  precision %6.2f  coverage %6.2f  triples %d\n",
-			name, rep.Precision(), metrics.Coverage(final, len(docs)), len(final))
+			name, rep.Precision(), metrics.Coverage(final, len(corpus.Pages)), len(final))
 	}
 
 	show("CRF", pae.Config{Iterations: 1})

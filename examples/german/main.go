@@ -15,12 +15,8 @@ func main() {
 	fmt.Printf("%-22s  %-9s  %-8s  %-7s\n", "category", "precision", "coverage", "triples")
 	for _, cat := range synth.GermanCategories() {
 		corpus := synth.Generate(cat, synth.Options{Seed: 11, Items: 180})
-		docs := make([]pae.Document, len(corpus.Pages))
-		for i, p := range corpus.Pages {
-			docs[i] = pae.Document{ID: p.ID, HTML: p.HTML}
-		}
 		result, err := pae.Run(
-			pae.Corpus{Documents: docs, Queries: corpus.Queries, Lang: "de"},
+			pae.Corpus{Documents: corpus.Pages, Queries: corpus.Queries, Lang: "de"},
 			pae.Config{Iterations: 3},
 		)
 		if err != nil {
@@ -30,6 +26,6 @@ func main() {
 		final := result.FinalTriples()
 		rep := truth.Judge(final)
 		fmt.Printf("%-22s  %-9.2f  %-8.2f  %-7d\n",
-			cat.Name, rep.Precision(), metrics.Coverage(final, len(docs)), len(final))
+			cat.Name, rep.Precision(), metrics.Coverage(final, len(corpus.Pages)), len(final))
 	}
 }

@@ -17,16 +17,10 @@ func main() {
 	cat, _ := synth.CategoryByName("Vacuum Cleaner")
 	corpus := synth.Generate(cat, synth.Options{Seed: 7, Items: 200})
 
-	// 2. Adapt the pages to the pipeline input.
-	docs := make([]pae.Document, len(corpus.Pages))
-	for i, p := range corpus.Pages {
-		docs[i] = pae.Document{ID: p.ID, HTML: p.HTML}
-	}
-
-	// 3. Run the paper's full system: CRF tagger, five bootstrap
+	// 2. Run the paper's full system: CRF tagger, five bootstrap
 	//    iterations, value diversification, syntactic + semantic cleaning.
 	result, err := pae.Run(
-		pae.Corpus{Documents: docs, Queries: corpus.Queries, Lang: "ja"},
+		pae.Corpus{Documents: corpus.Pages, Queries: corpus.Queries, Lang: "ja"},
 		pae.Config{Iterations: 3},
 	)
 	if err != nil {
@@ -36,16 +30,16 @@ func main() {
 	fmt.Println("attributes discovered:", result.Attributes)
 	fmt.Printf("seed: %d pairs, %d triples\n\n", len(result.SeedPairs), len(result.SeedTriples))
 
-	// 4. Judge every iteration against the planted ground truth.
+	// 3. Judge every iteration against the planted ground truth.
 	truth := metrics.NewTruth(corpus)
 	fmt.Printf("%-5s  %-9s  %-8s  %-7s\n", "iter", "precision", "coverage", "triples")
 	for _, it := range result.Iterations {
 		rep := truth.Judge(it.Triples)
 		fmt.Printf("%-5d  %-9.2f  %-8.2f  %-7d\n",
-			it.Iteration, rep.Precision(), metrics.Coverage(it.Triples, len(docs)), len(it.Triples))
+			it.Iteration, rep.Precision(), metrics.Coverage(it.Triples, len(corpus.Pages)), len(it.Triples))
 	}
 
-	// 5. Show a few extracted triples.
+	// 4. Show a few extracted triples.
 	fmt.Println("\nsample triples:")
 	for i, t := range result.FinalTriples() {
 		if i >= 8 {

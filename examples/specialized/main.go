@@ -15,11 +15,7 @@ import (
 func main() {
 	cat, _ := synth.CategoryByName("Digital Cameras")
 	corpus := synth.Generate(cat, synth.Options{Seed: 21, Items: 220})
-	docs := make([]pae.Document, len(corpus.Pages))
-	for i, p := range corpus.Pages {
-		docs[i] = pae.Document{ID: p.ID, HTML: p.HTML}
-	}
-	input := pae.Corpus{Documents: docs, Queries: corpus.Queries, Lang: "ja"}
+	input := pae.Corpus{Documents: corpus.Pages, Queries: corpus.Queries, Lang: "ja"}
 
 	// The complex attributes of §VIII-C: A1 shutter speed, A2 effective
 	// pixels, A3 weight.
@@ -46,8 +42,8 @@ func main() {
 	}
 
 	truth := metrics.NewTruth(corpus)
-	gCov := truth.AttributeCoverage(global.FinalTriples(), len(docs))
-	sCov := truth.AttributeCoverage(specialized.FinalTriples(), len(docs))
+	gCov := truth.AttributeCoverage(global.FinalTriples(), len(corpus.Pages))
+	sCov := truth.AttributeCoverage(specialized.FinalTriples(), len(corpus.Pages))
 	gPrec := truth.JudgeByAttribute(global.FinalTriples())
 	sPrec := truth.JudgeByAttribute(specialized.FinalTriples())
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mat"
 	"repro/internal/triples"
 	"repro/internal/word2vec"
+	"repro/internal/workload"
 )
 
 func tr(pid, attr, val string) triples.Triple {
@@ -20,7 +21,7 @@ func TestVetoSymbols(t *testing.T) {
 		tr("p3", "色", "・・・"),
 		tr("p4", "色", "レッド"),
 	}
-	out, stats := ApplyVeto(in, VetoConfig{PopularFraction: 1})
+	out, stats := ApplyVetoFor(workload.DetailPage, in, VetoConfig{PopularFraction: 1})
 	if stats.Symbol != 3 {
 		t.Fatalf("symbol removals = %d, want 3", stats.Symbol)
 	}
@@ -35,7 +36,7 @@ func TestVetoMarkup(t *testing.T) {
 		tr("p2", "a", "&nbsp;"),
 		tr("p3", "a", "normal"),
 	}
-	out, stats := ApplyVeto(in, VetoConfig{PopularFraction: 1})
+	out, stats := ApplyVetoFor(workload.DetailPage, in, VetoConfig{PopularFraction: 1})
 	if stats.Markup != 2 || len(out) != 1 {
 		t.Fatalf("markup removals = %d, out = %v", stats.Markup, out)
 	}
@@ -44,13 +45,13 @@ func TestVetoMarkup(t *testing.T) {
 func TestVetoLongValues(t *testing.T) {
 	long := strings.Repeat("長", 31)
 	in := []triples.Triple{tr("p1", "a", long), tr("p2", "a", "短い値")}
-	out, stats := ApplyVeto(in, VetoConfig{PopularFraction: 1})
+	out, stats := ApplyVetoFor(workload.DetailPage, in, VetoConfig{PopularFraction: 1})
 	if stats.TooLong != 1 || len(out) != 1 {
 		t.Fatalf("long removals = %d, out = %v", stats.TooLong, out)
 	}
 	// Exactly 30 runes passes.
 	in = []triples.Triple{tr("p1", "a", strings.Repeat("x", 30))}
-	if _, stats := ApplyVeto(in, VetoConfig{PopularFraction: 1}); stats.TooLong != 0 {
+	if _, stats := ApplyVetoFor(workload.DetailPage, in, VetoConfig{PopularFraction: 1}); stats.TooLong != 0 {
 		t.Fatal("30-rune value wrongly vetoed")
 	}
 }
@@ -63,7 +64,7 @@ func TestVetoUnpopularEntities(t *testing.T) {
 		in = append(in, tr(string(rune('a'+i)), "色", "popular"))
 	}
 	in = append(in, tr("z", "色", "rare"))
-	out, stats := ApplyVeto(in, VetoConfig{})
+	out, stats := ApplyVetoFor(workload.DetailPage, in, VetoConfig{})
 	if stats.Unpopular != 1 {
 		t.Fatalf("unpopular removals = %d, want 1", stats.Unpopular)
 	}
@@ -81,14 +82,14 @@ func TestVetoKeepsAllWhenUniform(t *testing.T) {
 	// Two entities with one item each: the 80% budget admits the first;
 	// the second exceeds it. This mirrors the paper's behaviour of always
 	// trimming the tail.
-	out, _ := ApplyVeto(in, VetoConfig{PopularFraction: 1})
+	out, _ := ApplyVetoFor(workload.DetailPage, in, VetoConfig{PopularFraction: 1})
 	if len(out) != 2 {
 		t.Fatalf("PopularFraction=1 must keep everything, got %v", out)
 	}
 }
 
 func TestVetoEmpty(t *testing.T) {
-	out, stats := ApplyVeto(nil, VetoConfig{})
+	out, stats := ApplyVetoFor(workload.DetailPage, nil, VetoConfig{})
 	if len(out) != 0 || stats.Removed() != 0 {
 		t.Fatal("empty input should be a no-op")
 	}

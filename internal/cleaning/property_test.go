@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/mat"
 	"repro/internal/triples"
+	"repro/internal/workload"
 )
 
 // genTriples builds a pseudo-random triple batch from a seed.
@@ -25,7 +26,7 @@ func genTriples(seed uint64) []triples.Triple {
 	return out
 }
 
-// Property: ApplyVeto is deterministic, and the per-triple rules (symbol,
+// Property: ApplyVetoFor is deterministic, and the per-triple rules (symbol,
 // markup, length) are idempotent — a second pass removes only popularity
 // tail, never new symbol/markup/length victims. (The popularity rule itself
 // is a one-shot batch operation, as in the paper, and is not idempotent:
@@ -33,8 +34,8 @@ func genTriples(seed uint64) []triples.Triple {
 func TestVetoDeterministicProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		in := genTriples(seed)
-		a, sa := ApplyVeto(in, VetoConfig{})
-		b, sb := ApplyVeto(in, VetoConfig{})
+		a, sa := ApplyVetoFor(workload.DetailPage, in, VetoConfig{})
+		b, sb := ApplyVetoFor(workload.DetailPage, in, VetoConfig{})
 		if len(a) != len(b) || sa != sb {
 			return false
 		}
@@ -43,7 +44,7 @@ func TestVetoDeterministicProperty(t *testing.T) {
 				return false
 			}
 		}
-		_, stats := ApplyVeto(a, VetoConfig{})
+		_, stats := ApplyVetoFor(workload.DetailPage, a, VetoConfig{})
 		return stats.Symbol == 0 && stats.Markup == 0 && stats.TooLong == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -51,12 +52,12 @@ func TestVetoDeterministicProperty(t *testing.T) {
 	}
 }
 
-// Property: ApplyVeto returns a subset of its input (never invents triples)
+// Property: ApplyVetoFor returns a subset of its input (never invents triples)
 // and the removal counts are consistent.
 func TestVetoSubsetProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		in := genTriples(seed)
-		out, stats := ApplyVeto(in, VetoConfig{})
+		out, stats := ApplyVetoFor(workload.DetailPage, in, VetoConfig{})
 		if len(out)+stats.Removed() != len(in) {
 			return false
 		}
@@ -90,7 +91,7 @@ func TestVetoKeepsBenignProperty(t *testing.T) {
 				Value:     benign[rng.Intn(len(benign))],
 			})
 		}
-		out, _ := ApplyVeto(in, VetoConfig{PopularFraction: 1})
+		out, _ := ApplyVetoFor(workload.DetailPage, in, VetoConfig{PopularFraction: 1})
 		return len(out) == len(in)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -47,20 +47,14 @@ type VetoStats struct {
 // Removed returns the total number of vetoed triples.
 func (s VetoStats) Removed() int { return s.Symbol + s.Markup + s.Unpopular + s.TooLong }
 
-// ApplyVeto runs the four veto rules over the triples and returns the
-// survivors plus per-rule removal counts. Rules (i), (ii) and (iv) are
-// per-triple; rule (iii) — unpopular entities — is computed per attribute
-// over the whole batch, keeping only the most popular entities that jointly
-// cover PopularFraction of the tagged items, as in Riloff & Jones [23].
+// ApplyVetoFor runs the four veto rules appropriate for the workload over
+// the triples and returns the survivors plus per-rule removal counts. Rules
+// (i), (ii) and (iv) are per-triple; rule (iii) — unpopular entities — is
+// computed per attribute over the whole batch, keeping only the most popular
+// entities that jointly cover PopularFraction of the tagged items, as in
+// Riloff & Jones [23].
 //
-// ApplyVeto is the detail-page behaviour, byte for byte; callers processing
-// another workload use ApplyVetoFor.
-func ApplyVeto(ts []triples.Triple, cfg VetoConfig) ([]triples.Triple, VetoStats) {
-	return ApplyVetoFor(workload.DetailPage, ts, cfg)
-}
-
-// ApplyVetoFor runs the veto rules appropriate for the workload. The rules
-// split into two classes: value-shape rules (symbol-only, too-long,
+// The rules split into two classes: value-shape rules (symbol-only, too-long,
 // unpopular-entity) that hold for any text shape, and the page-shape markup
 // rule (ii), which exists to catch HTML lexer remnants and is therefore
 // inert on the title workload — titles are plain text, so an angle bracket

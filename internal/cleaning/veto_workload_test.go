@@ -93,16 +93,3 @@ func TestVetoPopularityShared(t *testing.T) {
 		}
 	}
 }
-
-// TestApplyVetoIsDetailPage pins the compatibility shim: the un-suffixed
-// entry point must behave exactly as the detail-page workload, because every
-// pre-refactor caller compiled against it.
-func TestApplyVetoIsDetailPage(t *testing.T) {
-	in := []triples.Triple{tr("p1", "a", "<br>"), tr("p2", "a", "ok")}
-	gotOut, gotStats := ApplyVeto(in, VetoConfig{PopularFraction: 1})
-	wantOut, wantStats := ApplyVetoFor(workload.DetailPage, in, VetoConfig{PopularFraction: 1})
-	if len(gotOut) != len(wantOut) || gotStats != wantStats {
-		t.Fatalf("ApplyVeto diverged from ApplyVetoFor(detail-page): %v/%+v vs %v/%+v",
-			gotOut, gotStats, wantOut, wantStats)
-	}
-}

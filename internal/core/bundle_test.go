@@ -16,6 +16,7 @@ import (
 	"repro/internal/seed"
 	"repro/internal/tagger"
 	"repro/internal/text"
+	"repro/internal/workload"
 )
 
 // TestBundleGoldenEndToEnd is the acceptance test of the train/serve split:
@@ -74,7 +75,7 @@ func TestBundleGoldenEndToEnd(t *testing.T) {
 	if got, want := len(tagged), res.Iterations[1].TaggedCandidates; got != want {
 		t.Fatalf("bundled model tagged %d candidates, in-bootstrap tagger tagged %d", got, want)
 	}
-	ref, _ := cleaning.ApplyVeto(tagged, loaded.Manifest.Veto)
+	ref, _ := cleaning.ApplyVetoFor(workload.DetailPage, tagged, loaded.Manifest.Veto)
 
 	for _, workers := range []int{1, 8} {
 		x, err := extract.Open(path, extract.Options{Workers: workers})

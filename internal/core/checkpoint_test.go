@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -46,15 +47,75 @@ func uninterrupted(t *testing.T) *Result {
 	})
 }
 
+// checkpointedRun memoises a checkpointed run: the first caller of key runs
+// it into a scratch directory and keeps its result and the files it left;
+// every caller gets that result and its own copy of the files in a fresh
+// directory, so later runs may resume from or write to it. Callers must not
+// modify the result.
+func checkpointedRun(t *testing.T, key string, run func(ckpt string) (*Result, error)) (*Result, string) {
+	t.Helper()
+	type snapshot struct {
+		res   *Result
+		files map[string][]byte
+	}
+	snap := memo(t, "checkpointed|"+key, func() (snapshot, error) {
+		ckpt := t.TempDir()
+		res, err := run(ckpt)
+		if err != nil {
+			return snapshot{}, err
+		}
+		files := make(map[string][]byte)
+		err = filepath.WalkDir(ckpt, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			rel, err := filepath.Rel(ckpt, path)
+			if err == nil {
+				files[rel], err = os.ReadFile(path)
+			}
+			return err
+		})
+		return snapshot{res, files}, err
+	})
+	dir := t.TempDir()
+	for rel, b := range snap.files {
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return snap.res, dir
+}
+
+// completedCheckpoint is ckptConfig() run to completion with checkpointing.
+func completedCheckpoint(t *testing.T) (*Result, string) {
+	t.Helper()
+	return checkpointedRun(t, "completed", func(ckpt string) (*Result, error) {
+		cfg := ckptConfig()
+		cfg.Checkpoint = ckpt
+		return New(cfg).Run(ckptCorpus(t))
+	})
+}
+
+// killedCheckpoint is ckptConfig() with checkpointing, killed by a panic in
+// iteration 3's training after iterations 1 and 2 were checkpointed.
+func killedCheckpoint(t *testing.T) (*Result, string) {
+	t.Helper()
+	return checkpointedRun(t, "killed-train-3", func(ckpt string) (*Result, error) {
+		cfg := ckptConfig()
+		cfg.Checkpoint = ckpt
+		cfg.FaultInjector = faultinject.New(
+			faultinject.Fault{Stage: faultinject.StageTrain, Call: 3, Kind: faultinject.Panic})
+		return New(cfg).Run(ckptCorpus(t))
+	})
+}
+
 func TestCheckpointingDoesNotAlterResults(t *testing.T) {
 	ref := uninterrupted(t)
-	dir := t.TempDir()
-	cfg := ckptConfig()
-	cfg.Checkpoint = dir
-	res, err := New(cfg).Run(ckptCorpus(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, dir := completedCheckpoint(t)
 	sameTriples(t, ref.FinalTriples(), res.FinalTriples())
 	// Every iteration left both a state file and a model artifact.
 	for iter := 1; iter <= 3; iter++ {
@@ -86,23 +147,15 @@ func TestCheckpointingDoesNotAlterResults(t *testing.T) {
 // triple-for-triple.
 func TestResumeReproducesUninterruptedRun(t *testing.T) {
 	ref := uninterrupted(t)
-	dir := t.TempDir()
 
 	// Interrupted run: a panic kills iteration 3's training.
-	cfg := ckptConfig()
-	cfg.Checkpoint = dir
-	cfg.FaultInjector = faultinject.New(
-		faultinject.Fault{Stage: faultinject.StageTrain, Call: 3, Kind: faultinject.Panic})
-	killed, err := New(cfg).Run(ckptCorpus(t))
-	if err != nil {
-		t.Fatal(err)
-	}
+	killed, dir := killedCheckpoint(t)
 	if len(killed.Iterations) != 2 || killed.StopReason.Completed() {
 		t.Fatalf("interrupted run: %s", killed.Describe())
 	}
 
 	// Resumed run: continues at iteration 3 and completes.
-	cfg = ckptConfig()
+	cfg := ckptConfig()
 	cfg.Checkpoint = dir
 	cfg.Resume = true
 	resumed, err := New(cfg).Run(ckptCorpus(t))
@@ -126,13 +179,9 @@ func TestResumeReproducesUninterruptedRun(t *testing.T) {
 }
 
 func TestResumeWithCompletedCheckpointRunsNothing(t *testing.T) {
-	dir := t.TempDir()
+	first, dir := completedCheckpoint(t)
 	cfg := ckptConfig()
 	cfg.Checkpoint = dir
-	first, err := New(cfg).Run(ckptCorpus(t))
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg.Resume = true
 	again, err := New(cfg).Run(ckptCorpus(t))
 	if err != nil {
@@ -145,12 +194,7 @@ func TestResumeWithCompletedCheckpointRunsNothing(t *testing.T) {
 }
 
 func TestResumeRejectsMismatchedConfig(t *testing.T) {
-	dir := t.TempDir()
-	cfg := ckptConfig()
-	cfg.Checkpoint = dir
-	if _, err := New(cfg).Run(ckptCorpus(t)); err != nil {
-		t.Fatal(err)
-	}
+	_, dir := completedCheckpoint(t)
 	other := ckptConfig()
 	other.Iterations = 4
 	other.Checkpoint = dir
@@ -168,19 +212,12 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 // truncated newest checkpoint is skipped in favour of the previous one.
 func TestResumeFallsBackPastCorruptCheckpoint(t *testing.T) {
 	ref := uninterrupted(t)
-	dir := t.TempDir()
-	cfg := ckptConfig()
-	cfg.Checkpoint = dir
-	cfg.FaultInjector = faultinject.New(
-		faultinject.Fault{Stage: faultinject.StageTrain, Call: 3, Kind: faultinject.Panic})
-	if _, err := New(cfg).Run(ckptCorpus(t)); err != nil {
-		t.Fatal(err)
-	}
+	_, dir := killedCheckpoint(t)
 	// A garbage file with a higher iteration number than any real one.
 	if err := os.WriteFile(checkpointPath(dir, 99), []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg = ckptConfig()
+	cfg := ckptConfig()
 	cfg.Checkpoint = dir
 	cfg.Resume = true
 	resumed, err := New(cfg).Run(ckptCorpus(t))

@@ -14,11 +14,7 @@ import (
 
 // corpusFor adapts a generated corpus to the pipeline input.
 func corpusFor(gc *gen.Corpus) Corpus {
-	docs := make([]seed.Document, len(gc.Pages))
-	for i, p := range gc.Pages {
-		docs[i] = seed.Document{ID: p.ID, HTML: p.HTML}
-	}
-	return Corpus{Documents: docs, Queries: gc.Queries, Lang: gc.Lang}
+	return Corpus{Documents: gc.Pages, Queries: gc.Queries, Lang: gc.Lang}
 }
 
 // memo computes what several tests build identically — generated corpora,
@@ -69,6 +65,26 @@ func runSmall(t *testing.T, cfg Config, items int) (*gen.Corpus, *Result) {
 	return gc, res
 }
 
+// oneIterationRun is runSmall over 120 pages with fastConfig() cut to one
+// iteration: the unfiltered, fully cleaned run that the attribute-filter and
+// cleaning-toggle tests both start from, computed once per test binary;
+// callers must not modify it.
+func oneIterationRun(t *testing.T) (*gen.Corpus, *Result) {
+	t.Helper()
+	type run struct {
+		gc  *gen.Corpus
+		res *Result
+	}
+	r := memo(t, "one-iteration|120", func() (run, error) {
+		cfg := fastConfig()
+		cfg.Iterations = 1
+		gc := generated(t, gen.VacuumCleaner(), 9, 120)
+		res, err := New(cfg).Run(corpusFor(gc))
+		return run{gc, res}, err
+	})
+	return r.gc, r.res
+}
+
 func TestPipelineEndToEnd(t *testing.T) {
 	gc, res := runSmall(t, fastConfig(), 120)
 	if len(res.SeedPairs) == 0 {
@@ -116,7 +132,7 @@ func TestAttrFilterRestrictsModel(t *testing.T) {
 	cfg.Iterations = 1
 	// The weight group's representative surface name depends on merchant
 	// alias frequencies; resolve it from an unfiltered run first.
-	gc, global := runSmall(t, cfg, 120)
+	gc, global := oneIterationRun(t)
 	var rep string
 	for _, a := range global.Attributes {
 		if gc.Canon(a) == "重量" {
@@ -153,7 +169,7 @@ func TestAttrFilterUnknownAttributeErrors(t *testing.T) {
 func TestDisableTogglesTakeEffect(t *testing.T) {
 	cfg := fastConfig()
 	cfg.Iterations = 1
-	_, full := runSmall(t, cfg, 120)
+	_, full := oneIterationRun(t)
 
 	cfg.DisableSyntacticCleaning = true
 	cfg.DisableSemanticCleaning = true

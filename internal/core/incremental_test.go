@@ -9,14 +9,13 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/gen"
-	"repro/internal/seed"
 )
 
 // appendGenPages grows an on-disk sharded corpus with freshly generated
 // pages, the way `paegen -append` does: product IDs offset past the committed
 // page count, a different generator seed so the delta holds new content, and
-// the same manifest commit point. Returns the appended pages' documents.
-func appendGenPages(t *testing.T, dir string, seedV uint64, items int) []seed.Document {
+// the same manifest commit point.
+func appendGenPages(t *testing.T, dir string, seedV uint64, items int) {
 	t.Helper()
 	w, err := corpus.OpenAppend(dir)
 	if err != nil {
@@ -24,11 +23,8 @@ func appendGenPages(t *testing.T, dir string, seedV uint64, items int) []seed.Do
 	}
 	m := w.Manifest()
 	gc := gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: seedV, Items: items, IDOffset: m.Pages})
-	var docs []seed.Document
 	for _, p := range gc.Pages {
-		d := seed.Document{ID: p.ID, HTML: p.HTML}
-		docs = append(docs, d)
-		if err := w.WritePage(d); err != nil {
+		if err := w.WritePage(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,7 +32,6 @@ func appendGenPages(t *testing.T, dir string, seedV uint64, items int) []seed.Do
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return docs
 }
 
 func openSource(t *testing.T, dir string) corpus.Source {
@@ -48,6 +43,21 @@ func openSource(t *testing.T, dir string) corpus.Source {
 	return r.Source()
 }
 
+// coldShardCheckpoint is fastConfig() with checkpointing over the 60-page
+// corpus in 3 shards of 20: the cold run the shard-cache tests start from.
+func coldShardCheckpoint(t *testing.T) (*Result, string) {
+	t.Helper()
+	return checkpointedRun(t, "cold-3-shards", func(ckpt string) (*Result, error) {
+		gc := generated(t, gen.VacuumCleaner(), 9, 60)
+		src := openSource(t, shardGenCorpus(t, gc, 20))
+		defer src.Close()
+		cfg := fastConfig()
+		cfg.Checkpoint = ckpt
+		return New(cfg).RunSource(context.Background(),
+			Input{Source: src, Queries: gc.Queries, Lang: gc.Lang})
+	})
+}
+
 // TestIncrementalGrownCorpus is the delta re-bootstrap acceptance test: after
 // a checkpointed run and a corpus append, a plain resume fails typed with
 // ErrCorpusGrown (not the generic mismatch), and an incremental run
@@ -56,7 +66,7 @@ func openSource(t *testing.T, dir string) corpus.Source {
 func TestIncrementalGrownCorpus(t *testing.T) {
 	gc := gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 60})
 	dir := shardGenCorpus(t, gc, 20) // 3 shards
-	ckpt := t.TempDir()
+	cold, ckpt := coldShardCheckpoint(t)
 
 	run := func(resume, incremental bool) (*Result, error) {
 		cfg := fastConfig()
@@ -69,10 +79,6 @@ func TestIncrementalGrownCorpus(t *testing.T) {
 			Input{Source: src, Queries: gc.Queries, Lang: gc.Lang})
 	}
 
-	cold, err := run(false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if cold.ShardsReused != 0 || cold.ShardsRecomputed != 3 {
 		t.Fatalf("cold run reused/recomputed = %d/%d, want 0/3", cold.ShardsReused, cold.ShardsRecomputed)
 	}
@@ -151,7 +157,7 @@ func TestIncrementalGrownCorpus(t *testing.T) {
 func TestShardCacheByteIdentity(t *testing.T) {
 	gc := gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 60})
 	dir := shardGenCorpus(t, gc, 20)
-	ckpt := t.TempDir()
+	cold, ckpt := coldShardCheckpoint(t)
 
 	run := func() *Result {
 		cfg := fastConfig()
@@ -166,7 +172,6 @@ func TestShardCacheByteIdentity(t *testing.T) {
 		return res
 	}
 
-	cold := run()
 	warmCache := run()
 	if warmCache.ShardsReused != 3 || warmCache.ShardsRecomputed != 0 {
 		t.Fatalf("second run reused/recomputed = %d/%d, want 3/0",
@@ -236,7 +241,7 @@ func TestShardCacheByteIdentity(t *testing.T) {
 func TestIncrementalCrossSchedule(t *testing.T) {
 	gc := gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 60})
 	dir := shardGenCorpus(t, gc, 20) // 3 shards
-	ckpt := t.TempDir()
+	_, ckpt := coldShardCheckpoint(t)
 
 	run := func(iters int, incremental bool) (*Result, error) {
 		cfg := fastConfig()
@@ -247,10 +252,6 @@ func TestIncrementalCrossSchedule(t *testing.T) {
 		defer src.Close()
 		return New(cfg).RunSource(context.Background(),
 			Input{Source: src, Queries: gc.Queries, Lang: gc.Lang})
-	}
-
-	if _, err := run(2, false); err != nil {
-		t.Fatal(err)
 	}
 
 	// Same corpus, shorter schedule: this would be a resume, and resumes

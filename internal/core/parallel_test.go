@@ -42,27 +42,45 @@ func statsOf(res *Result) []iterStats {
 	return out
 }
 
+// reportedRun runs fastConfig() at the given worker count over the 90-page
+// Vacuum Cleaner corpus through Run, with a live recorder.
+func reportedRun(t *testing.T, workers int) (*Result, *obs.Report, error) {
+	t.Helper()
+	cfg := fastConfig()
+	cfg.Parallelism = workers
+	rec := obs.New(obs.Options{})
+	cfg.Obs = rec
+	res, err := New(cfg).Run(corpusFor(generated(t, gen.VacuumCleaner(), 9, 90)))
+	return res, rec.Snapshot(), err
+}
+
+// serialReference is reportedRun at Workers=1, the reference that both the
+// worker-count and the corpus-layout invariance tests compare against,
+// computed once per test binary; callers must not modify it.
+func serialReference(t *testing.T) (*Result, *obs.Report) {
+	t.Helper()
+	type reference struct {
+		res *Result
+		rep *obs.Report
+	}
+	ref := memo(t, "serial-reference", func() (reference, error) {
+		res, rep, err := reportedRun(t, 1)
+		return reference{res, rep}, err
+	})
+	return ref.res, ref.rep
+}
+
 // TestParallelismByteIdentical is the tentpole acceptance test: the same run
 // at Workers 1, 2, and 8 produces byte-identical final triples (order
 // included), identical per-iteration statistics, and the same run-report
 // configuration fingerprint.
 func TestParallelismByteIdentical(t *testing.T) {
-	c := corpusFor(gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 90}))
-	run := func(workers int) (*Result, *obs.Report) {
-		cfg := fastConfig()
-		cfg.Parallelism = workers
-		rec := obs.New(obs.Options{})
-		cfg.Obs = rec
-		res, err := New(cfg).Run(c)
+	base, baseRep := serialReference(t)
+	for _, workers := range []int{2, 8} {
+		res, rep, err := reportedRun(t, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		return res, rec.Snapshot()
-	}
-
-	base, baseRep := run(1)
-	for _, workers := range []int{2, 8} {
-		res, rep := run(workers)
 		if !reflect.DeepEqual(res.FinalTriples(), base.FinalTriples()) {
 			t.Fatalf("workers=%d: final triples differ from serial run", workers)
 		}
@@ -210,7 +228,7 @@ func BenchmarkTagCorpus(b *testing.B) {
 	scfg := seed.Config{Tokenizer: text.ForLanguage(gc.Lang)}.WithDefaults()
 	var sents []seed.SentenceOf
 	for _, p := range gc.Pages {
-		sents = append(sents, seed.SplitDocument(seed.Document{ID: p.ID, HTML: p.HTML}, scfg)...)
+		sents = append(sents, seed.SplitDocument(p, scfg)...)
 	}
 	model, err := crf.Trainer{Config: crf.Config{MaxIter: 20}}.Fit(benchToy(40))
 	if err != nil {

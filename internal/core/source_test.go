@@ -28,7 +28,7 @@ func shardGenCorpus(t *testing.T, gc *gen.Corpus, shardSize int) string {
 		t.Fatal(err)
 	}
 	for _, p := range gc.Pages {
-		if err := w.WritePage(seed.Document{ID: p.ID, HTML: p.HTML}); err != nil {
+		if err := w.WritePage(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,7 +45,7 @@ func shardGenCorpus(t *testing.T, gc *gen.Corpus, shardSize int) string {
 // memory, in one shard, or in many shards — at any worker count, with the
 // prepared corpus in memory or spilled to disk.
 func TestRunSourceLayoutInvariant(t *testing.T) {
-	gc := gen.Generate(gen.VacuumCleaner(), gen.Options{Seed: 9, Items: 90})
+	gc := generated(t, gen.VacuumCleaner(), 9, 90)
 	// 90 pages at shard size 13 → 7 shards; at 1000 → 1 shard.
 	oneShard := shardGenCorpus(t, gc, 1000)
 	sevenShards := shardGenCorpus(t, gc, 13)
@@ -94,15 +94,7 @@ func TestRunSourceLayoutInvariant(t *testing.T) {
 	}
 
 	// Reference: the unchanged in-memory API at Workers=1.
-	refCfg := fastConfig()
-	refCfg.Parallelism = 1
-	refRec := obs.New(obs.Options{})
-	refCfg.Obs = refRec
-	base, err := New(refCfg).Run(corpusFor(gc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseRep := refRec.Snapshot()
+	base, baseRep := serialReference(t)
 	baseBundle, err := base.Bundle()
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/bundle"
 	"repro/internal/corpus"
 	"repro/internal/gen"
-	"repro/internal/seed"
 	"repro/internal/workload"
 )
 
@@ -19,12 +18,8 @@ import (
 func runTitles(t *testing.T, gc *gen.Corpus, cfg Config) *Result {
 	t.Helper()
 	cfg.Workload = workload.Title
-	docs := make([]seed.Document, len(gc.Pages))
-	for i, p := range gc.Pages {
-		docs[i] = seed.Document{ID: p.ID, HTML: p.HTML}
-	}
 	res, err := New(cfg).RunSource(context.Background(), Input{
-		Source:  corpus.NewSliceSource(docs),
+		Source:  corpus.NewSliceSource(gc.Pages),
 		Queries: gc.Queries,
 		Lang:    gc.Lang,
 		Lexicon: gc.Lexicon,
@@ -104,12 +99,8 @@ func TestTitleWorkloadRequiresLexicon(t *testing.T) {
 	gc := gen.GenerateTitles(gen.VacuumCleaner(), gen.Options{Seed: 3, Items: 20})
 	cfg := fastConfig()
 	cfg.Workload = workload.Title
-	docs := make([]seed.Document, len(gc.Pages))
-	for i, p := range gc.Pages {
-		docs[i] = seed.Document{ID: p.ID, HTML: p.HTML}
-	}
 	_, err := New(cfg).RunSource(context.Background(), Input{
-		Source: corpus.NewSliceSource(docs), Queries: gc.Queries, Lang: gc.Lang,
+		Source: corpus.NewSliceSource(gc.Pages), Queries: gc.Queries, Lang: gc.Lang,
 	})
 	if !errors.Is(err, ErrNoSeed) {
 		t.Fatalf("title run without a lexicon = %v, want ErrNoSeed", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/mat"
 	"repro/internal/tagger"
 )
 
@@ -63,7 +64,7 @@ func optimize(ctx context.Context, theta []float64, l1 float64, maxIter int, fn 
 			}
 		}
 		pseudoGradient(pg, theta, grad, l1)
-		gnorm := norm2(pg)
+		gnorm := mat.Norm2Vec(pg)
 		if gnorm < 1e-8 {
 			break
 		}
@@ -71,19 +72,17 @@ func optimize(ctx context.Context, theta []float64, l1 float64, maxIter int, fn 
 		copy(dir, pg)
 		alphas := make([]float64, len(sList))
 		for i := len(sList) - 1; i >= 0; i-- {
-			alphas[i] = rhoList[i] * dot(sList[i], dir)
-			axpy(-alphas[i], yList[i], dir)
+			alphas[i] = rhoList[i] * mat.Dot(sList[i], dir)
+			mat.Axpy(-alphas[i], yList[i], dir)
 		}
 		if len(sList) > 0 {
 			last := len(sList) - 1
-			scale := dot(sList[last], yList[last]) / dot(yList[last], yList[last])
-			for i := range dir {
-				dir[i] *= scale
-			}
+			scale := mat.Dot(sList[last], yList[last]) / mat.Dot(yList[last], yList[last])
+			mat.ScaleVec(scale, dir)
 		}
 		for i := 0; i < len(sList); i++ {
-			beta := rhoList[i] * dot(yList[i], dir)
-			axpy(alphas[i]-beta, sList[i], dir)
+			beta := rhoList[i] * mat.Dot(yList[i], dir)
+			mat.Axpy(alphas[i]-beta, sList[i], dir)
 		}
 		for i := range dir {
 			dir[i] = -dir[i]
@@ -157,7 +156,7 @@ func optimize(ctx context.Context, theta []float64, l1 float64, maxIter int, fn 
 			s[i] = newX[i] - theta[i]
 			y[i] = newGrad[i] - grad[i]
 		}
-		if sy := dot(s, y); sy > 1e-10 {
+		if sy := mat.Dot(s, y); sy > 1e-10 {
 			sList = append(sList, s)
 			yList = append(yList, y)
 			rhoList = append(rhoList, 1/sy)
@@ -222,28 +221,6 @@ func l1Norm(x []float64) float64 {
 		s += math.Abs(v)
 	}
 	return s
-}
-
-func norm2(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-func dot(x, y []float64) float64 {
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
-func axpy(a float64, x, y []float64) {
-	for i, v := range x {
-		y[i] += a * v
-	}
 }
 
 func sign(v float64) float64 {

@@ -64,7 +64,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Trainer fits CRF models. It implements tagger.Trainer.
+// Trainer fits CRF models.
 type Trainer struct {
 	Config Config
 	// Ctx, when non-nil, cancels training between optimiser iterations;

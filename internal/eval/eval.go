@@ -70,22 +70,6 @@ func NewTruth(c *gen.Corpus) *Truth {
 // Size returns the number of judged truth triples.
 func (t *Truth) Size() int { return len(t.correct) + len(t.incorrect) }
 
-// judgeOne classifies a single system triple.
-func (t *Truth) judgeOne(tr triples.Triple) (correct, incorrect, maybe bool) {
-	attr := t.corpus.Canon(tr.Attribute)
-	val := gen.NormalizeValue(tr.Value)
-	key := tr.ProductID + "\x00" + attr + "\x00" + val
-	switch {
-	case t.correct[key]:
-		return true, false, false
-	case t.incorrect[key]:
-		return false, true, false
-	case t.prodAttr[tr.ProductID+"\x00"+attr]:
-		return false, false, true
-	}
-	return false, false, false
-}
-
 // Judgment classifies a single system triple.
 type Judgment int
 
@@ -113,34 +97,39 @@ func (j Judgment) String() string {
 // JudgeTriple classifies one system triple, exposed for error-analysis
 // tooling.
 func (t *Truth) JudgeTriple(tr triples.Triple) Judgment {
-	c, i, m := t.judgeOne(tr)
+	attr := t.corpus.Canon(tr.Attribute)
+	key := tr.ProductID + "\x00" + attr + "\x00" + gen.NormalizeValue(tr.Value)
 	switch {
-	case c:
+	case t.correct[key]:
 		return Correct
-	case i:
+	case t.incorrect[key]:
 		return Incorrect
-	case m:
+	case t.prodAttr[tr.ProductID+"\x00"+attr]:
 		return MaybeIncorrect
 	}
 	return Unjudged
+}
+
+// add tallies one judged triple.
+func (r *Report) add(j Judgment) {
+	r.Generated++
+	switch j {
+	case Correct:
+		r.Correct++
+	case Incorrect:
+		r.Incorrect++
+	case MaybeIncorrect:
+		r.MaybeIncorrect++
+	default:
+		r.Unjudged++
+	}
 }
 
 // Judge evaluates a batch of system triples against the truth sample.
 func (t *Truth) Judge(ts []triples.Triple) Report {
 	var r Report
 	for _, tr := range triples.Dedup(ts) {
-		r.Generated++
-		c, i, m := t.judgeOne(tr)
-		switch {
-		case c:
-			r.Correct++
-		case i:
-			r.Incorrect++
-		case m:
-			r.MaybeIncorrect++
-		default:
-			r.Unjudged++
-		}
+		r.add(t.JudgeTriple(tr))
 	}
 	return r
 }
@@ -152,18 +141,7 @@ func (t *Truth) JudgeByAttribute(ts []triples.Triple) map[string]Report {
 	for _, tr := range triples.Dedup(ts) {
 		attr := t.corpus.Canon(tr.Attribute)
 		r := out[attr]
-		r.Generated++
-		c, i, m := t.judgeOne(tr)
-		switch {
-		case c:
-			r.Correct++
-		case i:
-			r.Incorrect++
-		case m:
-			r.MaybeIncorrect++
-		default:
-			r.Unjudged++
-		}
+		r.add(t.JudgeTriple(tr))
 		out[attr] = r
 	}
 	return out

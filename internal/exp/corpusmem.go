@@ -177,7 +177,7 @@ func writeCorpus(gc *gen.Corpus, shardSize int) string {
 		panic(fmt.Sprintf("exp: corpusmem: %v", err))
 	}
 	for _, p := range gc.Pages {
-		if err := w.WritePage(seed.Document{ID: p.ID, HTML: p.HTML}); err != nil {
+		if err := w.WritePage(p); err != nil {
 			panic(fmt.Sprintf("exp: corpusmem: %v", err))
 		}
 	}

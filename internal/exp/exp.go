@@ -6,15 +6,16 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/corpus"
 	"repro/internal/eval"
 	"repro/internal/gen"
-	"repro/internal/seed"
 )
 
 // Settings controls experiment scale. The zero value reproduces the default
@@ -130,13 +131,11 @@ var (
 	runCache = map[string]*cacheEntry{}
 )
 
-// runCategory executes the pipeline on a generated category corpus,
-// memoising by (settings, category, config fingerprint) so experiments that
-// share a configuration — e.g. Tables II and III — pay for it once per
-// process, even when experiments run concurrently.
-func runCategory(cat gen.Category, cfg core.Config, s Settings, fingerprint string) *categoryRun {
-	s = s.withDefaults()
-	key := s.key() + "|" + cat.Name + "|" + fingerprint
+// memoRun returns the run cached under key, calling build for the first
+// caller of the key only, so experiments that share a configuration — e.g.
+// Tables II and III — pay for it once per process, even when experiments run
+// concurrently.
+func memoRun(key string, build func() *categoryRun) *categoryRun {
 	cacheMu.Lock()
 	e, ok := runCache[key]
 	if !ok {
@@ -151,15 +150,7 @@ func runCategory(cat gen.Category, cfg core.Config, s Settings, fingerprint stri
 				e.panicked = r
 			}
 		}()
-		if cfg.Parallelism == 0 {
-			cfg.Parallelism = s.Workers
-		}
-		gc := gen.Generate(cat, gen.Options{Seed: s.Seed, Items: s.Items, Workers: s.Workers})
-		res, err := core.New(cfg).Run(toCorpus(gc))
-		if err != nil {
-			panic(fmt.Sprintf("exp: %s (%s): %v", cat.Name, fingerprint, err))
-		}
-		e.run = &categoryRun{corpus: gc, truth: eval.NewTruth(gc), result: res}
+		e.run = build()
 	})
 	if e.panicked != nil {
 		panic(e.panicked)
@@ -167,13 +158,32 @@ func runCategory(cat gen.Category, cfg core.Config, s Settings, fingerprint stri
 	return e.run
 }
 
-// toCorpus adapts a generated corpus to the pipeline input.
-func toCorpus(gc *gen.Corpus) core.Corpus {
-	docs := make([]seed.Document, len(gc.Pages))
-	for i, p := range gc.Pages {
-		docs[i] = seed.Document{ID: p.ID, HTML: p.HTML}
+// runCorpus runs the pipeline on a generated corpus, passing its lexicon
+// (empty on detail pages) along; label names the run in a failure panic.
+func runCorpus(gc *gen.Corpus, cfg core.Config, s Settings, label string) *categoryRun {
+	if cfg.Parallelism == 0 {
+		cfg.Parallelism = s.Workers
 	}
-	return core.Corpus{Documents: docs, Queries: gc.Queries, Lang: gc.Lang}
+	res, err := core.New(cfg).RunSource(context.Background(), core.Input{
+		Source:  corpus.NewSliceSource(gc.Pages),
+		Queries: gc.Queries,
+		Lang:    gc.Lang,
+		Lexicon: gc.Lexicon,
+	})
+	if err != nil {
+		panic(fmt.Sprintf("exp: %s: %v", label, err))
+	}
+	return &categoryRun{corpus: gc, truth: eval.NewTruth(gc), result: res}
+}
+
+// runCategory executes the pipeline on a generated category corpus,
+// memoised by (settings, category, config fingerprint).
+func runCategory(cat gen.Category, cfg core.Config, s Settings, fingerprint string) *categoryRun {
+	s = s.withDefaults()
+	return memoRun(s.key()+"|"+cat.Name+"|"+fingerprint, func() *categoryRun {
+		gc := gen.Generate(cat, gen.Options{Seed: s.Seed, Items: s.Items, Workers: s.Workers})
+		return runCorpus(gc, cfg, s, cat.Name+" ("+fingerprint+")")
+	})
 }
 
 // ---- text-table rendering ----

@@ -10,6 +10,7 @@ import (
 	"repro/internal/seed"
 	"repro/internal/text"
 	"repro/internal/triples"
+	"repro/internal/workload"
 )
 
 // crfConfig is the paper's CRF setup; clean toggles both cleaning modules.
@@ -78,12 +79,12 @@ func cleanExternally(r *categoryRun, raw []triples.Triple) []triples.Triple {
 			tagged = append(tagged, t)
 		}
 	}
-	kept, _ := cleaning.ApplyVeto(tagged, cleaning.VetoConfig{})
+	kept, _ := cleaning.ApplyVetoFor(workload.DetailPage, tagged, cleaning.VetoConfig{})
 	tok := text.ForLanguage(r.corpus.Lang)
 	scfg := seed.Config{Tokenizer: tok}.WithDefaults()
 	var corpusTokens [][]string
 	for _, p := range r.corpus.Pages {
-		for _, s := range seed.SplitDocument(seed.Document{ID: p.ID, HTML: p.HTML}, scfg) {
+		for _, s := range seed.SplitDocument(p, scfg) {
 			corpusTokens = append(corpusTokens, text.Texts(s.Tokens))
 		}
 	}

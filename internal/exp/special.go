@@ -113,48 +113,20 @@ func Heterogeneous(s Settings) string {
 	return t.String()
 }
 
-// runMerged builds and runs the heterogeneous Baby Goods parent; it shares
-// the memoisation cache (and its singleflight semantics) with the
-// per-category runs.
+// runMerged builds and runs the heterogeneous Baby Goods parent through the
+// same cache as the per-category runs.
 func runMerged(s Settings, cfg core.Config, fp string) *categoryRun {
 	s = s.withDefaults()
-	key := s.key() + "|Baby Goods|" + fp
-	cacheMu.Lock()
-	e, ok := runCache[key]
-	if !ok {
-		e = &cacheEntry{}
-		runCache[key] = e
-	}
-	cacheMu.Unlock()
-	e.once.Do(func() {
-		defer func() {
-			if r := recover(); r != nil {
-				e.panicked = r
-			}
-		}()
-		if cfg.Parallelism == 0 {
-			cfg.Parallelism = s.Workers
-		}
+	return memoRun(s.key()+"|Baby Goods|"+fp, func() *categoryRun {
 		// Each subcategory contributes a third of the items so the parent has
 		// the same page count as a single category.
-		third := s.Items / 3
-		opt := gen.Options{Seed: s.Seed, Items: third, Workers: s.Workers}
-		parts := []*gen.Corpus{
+		opt := gen.Options{Seed: s.Seed, Items: s.Items / 3, Workers: s.Workers}
+		gc := gen.Merge("Baby Goods",
 			gen.Generate(mustCat("Baby Carriers"), opt),
 			gen.Generate(mustCat("Baby Clothes"), opt),
-			gen.Generate(mustCat("Toys"), opt),
-		}
-		gc := gen.Merge("Baby Goods", parts...)
-		res, err := core.New(cfg).Run(toCorpus(gc))
-		if err != nil {
-			panic(fmt.Sprintf("exp: Baby Goods: %v", err))
-		}
-		e.run = &categoryRun{corpus: gc, truth: eval.NewTruth(gc), result: res}
+			gen.Generate(mustCat("Toys"), opt))
+		return runCorpus(gc, cfg, s, "Baby Goods")
 	})
-	if e.panicked != nil {
-		panic(e.panicked)
-	}
-	return e.run
 }
 
 func mustCat(name string) gen.Category {

@@ -14,12 +14,6 @@ import (
 	"repro/internal/workload"
 )
 
-// Page is one generated product page.
-type Page struct {
-	ID   string
-	HTML string
-}
-
 // TruthTriple is one referee judgment, playing the role of the paper's
 // human-annotated truth sample: the page either genuinely states the value
 // for the product (Correct) or states it in a misleading context — secondary
@@ -38,7 +32,7 @@ type TruthTriple struct {
 type Corpus struct {
 	Name    string
 	Lang    string
-	Pages   []Page
+	Pages   []seed.Document
 	Queries []string
 	Truth   []TruthTriple
 	// Workload records the page shape the corpus holds; the zero value means
@@ -122,7 +116,7 @@ func Generate(cat Category, opt Options) *Corpus {
 // PageResult is one rendered page together with its planted truth judgments,
 // delivered in page order by GenerateStreamCtx.
 type PageResult struct {
-	Page  Page
+	Page  seed.Document
 	Truth []TruthTriple
 }
 
@@ -145,18 +139,43 @@ const genChunk = 256
 // domains). The returned Corpus carries everything except the page bodies:
 // with a non-nil emit, Corpus.Pages stays nil.
 func GenerateStreamCtx(ctx context.Context, cat Category, opt Options, emit func(PageResult) error) (*Corpus, error) {
+	if cat.Merchants <= 0 {
+		cat.Merchants = 10
+	}
+	return generate(ctx, cat, opt, emit, "%s-%05d", 0,
+		func(_ *Corpus, rng *mat.RNG) (func(*mat.RNG) int, pageBuilder) {
+			merchants := newMerchants(cat, rng)
+			templates := templatesFor(cat.Lang)
+			pick := func(rng *mat.RNG) int { return rng.Intn(len(merchants)) }
+			return pick, func(pid string, m int, rng *mat.RNG, sink *pageSink) seed.Document {
+				return buildPage(&cat, pid, merchants[m], templates, rng, sink)
+			}
+		})
+}
+
+// pageBuilder renders one page from its per-page pick and private RNG,
+// planting its truth judgments and domain values into sink.
+type pageBuilder func(pid string, pick int, rng *mat.RNG, sink *pageSink) seed.Document
+
+// generate is the chunked body both workloads share. The corpus RNG, seeded
+// from opt.Seed, the category name and salt, draws in a fixed order: first
+// whatever prepare draws before any page (merchants, or the title lexicon),
+// then per page in page order the optional pick (nil for none) and the
+// page's private RNG seed, then the query seed. Pages named by idFmt over
+// (category slug, index+IDOffset) then render concurrently inside each
+// chunk without perturbing any draw sequence, and merge in page order.
+func generate(ctx context.Context, cat Category, opt Options, emit func(PageResult) error,
+	idFmt string, salt uint64,
+	prepare func(c *Corpus, rng *mat.RNG) (pick func(*mat.RNG) int, build pageBuilder)) (*Corpus, error) {
 	items := cat.Items
 	if opt.Items > 0 {
 		items = opt.Items
 	}
-	if cat.Merchants <= 0 {
-		cat.Merchants = 10
+	seedV := opt.Seed
+	if seedV == 0 {
+		seedV = 1
 	}
-	seed := opt.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	rng := mat.NewRNG(seed ^ hashString(cat.Name))
+	rng := mat.NewRNG(seedV ^ hashString(cat.Name) ^ salt)
 
 	corpus := &Corpus{
 		Name:    cat.Name,
@@ -172,43 +191,34 @@ func GenerateStreamCtx(ctx context.Context, cat Category, opt Options, emit func
 			corpus.Aliases[al] = a.Name
 		}
 	}
+	pick, build := prepare(corpus, rng)
 
-	merchants := newMerchants(cat, rng)
-	templates := templatesFor(cat.Lang)
-
-	// Per-page draws happen up front, in page order, on the corpus stream:
-	// the merchant pick and the page's private RNG seed. The chunked pool
-	// below may then render pages in any order without perturbing any draw
-	// sequence.
 	type pageJob struct {
 		pid  string
-		m    merchant
+		pick int
 		seed uint64
 	}
 	jobs := make([]pageJob, items)
 	for i := range jobs {
-		pid := fmt.Sprintf("%s-%05d", slug(cat.Name), i+opt.IDOffset)
-		jobs[i] = pageJob{
-			pid:  pid,
-			m:    merchants[rng.Intn(len(merchants))],
-			seed: rng.Uint64() ^ hashString(pid),
+		j := &jobs[i]
+		j.pid = fmt.Sprintf(idFmt, slug(cat.Name), i+opt.IDOffset)
+		if pick != nil {
+			j.pick = pick(rng)
 		}
+		j.seed = rng.Uint64() ^ hashString(j.pid)
 	}
 	querySeed := rng.Uint64()
 
 	sinks := make([]*pageSink, genChunk)
 	for base := 0; base < items; base += genChunk {
-		n := items - base
-		if n > genChunk {
-			n = genChunk
-		}
+		n := min(items-base, genChunk)
 		err := par.ForEach(ctx, opt.Workers, n, func(i int) error {
 			if err := opt.Inject.Fire(faultinject.StageGenPage); err != nil {
 				return err
 			}
+			j := &jobs[base+i]
 			sink := &pageSink{truthSeen: make(map[string]bool)}
-			sink.page = buildPage(&cat, jobs[base+i].pid, jobs[base+i].m, templates,
-				mat.NewRNG(jobs[base+i].seed), sink)
+			sink.page = build(j.pid, j.pick, mat.NewRNG(j.seed), sink)
 			sinks[i] = sink
 			return nil
 		})
@@ -239,7 +249,7 @@ func GenerateStreamCtx(ctx context.Context, cat Category, opt Options, emit func
 // truth dedup that used to live on the corpus is page-local here, which is
 // equivalent because every truth key starts with the page's unique product ID.
 type pageSink struct {
-	page      Page
+	page      seed.Document
 	truthSeen map[string]bool
 	truth     []TruthTriple
 	domains   [][2]string // (canonical attribute, normalised value), in draw order
@@ -269,6 +279,50 @@ func (s *pageSink) addTruth(pid, attr, value string, correct bool) {
 	s.truth = append(s.truth, TruthTriple{
 		ProductID: pid, Attribute: attr, Value: nv, Correct: correct,
 	})
+}
+
+// drawValues draws the product's own value for every attribute, recording
+// each in the domains, and returns them with the brand attribute's index
+// (-1 when the category has none).
+func (s *pageSink) drawValues(cat *Category, rng *mat.RNG) (values []string, brandIdx int) {
+	values = make([]string, len(cat.Attributes))
+	brandIdx = -1
+	for j := range cat.Attributes {
+		values[j] = renderValue(&cat.Attributes[j], cat.Lang, rng)
+		s.addDomain(cat.Attributes[j].Name, values[j])
+		if cat.Attributes[j].Name == cat.BrandAttr {
+			brandIdx = j
+		}
+	}
+	return values, brandIdx
+}
+
+// foreignValue draws a random attribute and a value for it that is not the
+// product's own — one belonging to a secondary or compatible product — and
+// records it in the domains and as a rejected truth judgment.
+func (s *pageSink) foreignValue(cat *Category, pid string, values []string, rng *mat.RNG) (int, string) {
+	j := rng.Intn(len(cat.Attributes))
+	a := &cat.Attributes[j]
+	sv := renderValue(a, cat.Lang, rng)
+	for sv == values[j] {
+		sv = renderValue(a, cat.Lang, rng)
+	}
+	s.addDomain(a.Name, sv)
+	s.addTruth(pid, a.Name, sv, false)
+	return j, sv
+}
+
+// rejectValueLike judges every value-like token of the given filler texts
+// as incorrect for every attribute, so an over-eager tagger that extracts
+// one counts as wrong instead of falling outside the truth sample.
+func (s *pageSink) rejectValueLike(cat *Category, pid string, texts []string) {
+	for _, f := range texts {
+		for _, tok := range valueLikeTokens(f, cat.Lang) {
+			for j := range cat.Attributes {
+				s.addTruth(pid, cat.Attributes[j].Name, tok, false)
+			}
+		}
+	}
 }
 
 // merchant is one seller style: a fixed alias per attribute, two favourite
@@ -327,20 +381,10 @@ const tableRateWithinMerchant = 0.65
 // buildPage renders one product page and plants its truth triples and domain
 // values into the page-local sink.
 func buildPage(cat *Category, pid string, m merchant,
-	templates []string, rng *mat.RNG, sink *pageSink) Page {
+	templates []string, rng *mat.RNG, sink *pageSink) seed.Document {
 
 	addTruth := sink.addTruth
-
-	// Draw the product's own values.
-	values := make([]string, len(cat.Attributes))
-	brandIdx := -1
-	for j := range cat.Attributes {
-		values[j] = renderValue(&cat.Attributes[j], cat.Lang, rng)
-		sink.addDomain(cat.Attributes[j].Name, values[j])
-		if cat.Attributes[j].Name == cat.BrandAttr {
-			brandIdx = j
-		}
-	}
+	values, brandIdx := sink.drawValues(cat, rng)
 
 	// Terse merchants write almost nothing beyond the title — the paper's
 	// §VIII-D observation that "not every product description contains
@@ -417,16 +461,9 @@ func buildPage(cat *Category, pid string, m merchant,
 	}
 	// Secondary-product block.
 	if rng.Float64() < cat.Noise*0.4 && len(cat.Attributes) > 0 {
-		j := rng.Intn(len(cat.Attributes))
-		a := &cat.Attributes[j]
-		sv := renderValue(a, cat.Lang, rng)
-		for sv == values[j] {
-			sv = renderValue(a, cat.Lang, rng)
-		}
-		sink.addDomain(a.Name, sv)
+		j, sv := sink.foreignValue(cat, pid, values, rng)
 		sentences = append(sentences, secondaryBlock(cat.Lang,
 			cat.Brands[rng.Intn(len(cat.Brands))], cat.Noun, m.alias[j], sv))
-		addTruth(pid, a.Name, sv, false)
 	}
 	pushFiller()
 
@@ -472,15 +509,9 @@ func buildPage(cat *Category, pid string, m merchant,
 	// attribute. Without these judgments an over-tagging model would score
 	// deceptively well, because its hallucinations would fall outside the
 	// truth sample instead of counting as incorrect.
-	for _, f := range fillersUsed {
-		for _, tok := range valueLikeTokens(f, cat.Lang) {
-			for j := range cat.Attributes {
-				addTruth(pid, cat.Attributes[j].Name, tok, false)
-			}
-		}
-	}
+	sink.rejectValueLike(cat, pid, fillersUsed)
 
-	return Page{ID: pid, HTML: pageHTML(title, sentences, tableRows)}
+	return seed.Document{ID: pid, HTML: pageHTML(title, sentences, tableRows)}
 }
 
 // valueLikeTokens returns the tokens of a filler sentence that an

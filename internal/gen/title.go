@@ -12,12 +12,9 @@ package gen
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
-	"repro/internal/faultinject"
 	"repro/internal/mat"
-	"repro/internal/par"
 	"repro/internal/seed"
 	"repro/internal/workload"
 )
@@ -50,85 +47,20 @@ func GenerateTitles(cat Category, opt Options) *Corpus {
 // stays nil; truth, domains, queries and the lexicon always ride the
 // returned Corpus.
 func GenerateTitlesStreamCtx(ctx context.Context, cat Category, opt Options, emit func(PageResult) error) (*Corpus, error) {
-	items := cat.Items
-	if opt.Items > 0 {
-		items = opt.Items
-	}
-	seedV := opt.Seed
-	if seedV == 0 {
-		seedV = 1
-	}
 	// Salted with the workload name so a title corpus never replays the
 	// detail-page corpus's draw sequence for the same (category, seed).
-	rng := mat.NewRNG(seedV ^ hashString(cat.Name) ^ hashString(string(workload.Title)))
-
-	corpus := &Corpus{
-		Name:     cat.Name,
-		Lang:     cat.Lang,
-		Workload: workload.Title,
-		Aliases:  make(map[string]string),
-		Domains:  make(map[string]map[string]bool),
-	}
-	for i := range cat.Attributes {
-		a := &cat.Attributes[i]
-		corpus.CanonicalAttrs = append(corpus.CanonicalAttrs, a.Name)
-		corpus.Domains[a.Name] = make(map[string]bool)
-		for _, al := range a.Aliases {
-			corpus.Aliases[al] = a.Name
-		}
-	}
-
-	// The lexicon draws first, before any title: it plays the role of an
-	// external value inventory that exists prior to the corpus, and drawing
-	// it up front keeps every later per-title seed independent of it.
-	corpus.Lexicon = buildLexicon(&cat, rng)
-
-	type titleJob struct {
-		pid  string
-		seed uint64
-	}
-	jobs := make([]titleJob, items)
-	for i := range jobs {
-		pid := fmt.Sprintf("%s-t%05d", slug(cat.Name), i+opt.IDOffset)
-		jobs[i] = titleJob{pid: pid, seed: rng.Uint64() ^ hashString(pid)}
-	}
-	querySeed := rng.Uint64()
-
-	sinks := make([]*pageSink, genChunk)
-	for base := 0; base < items; base += genChunk {
-		n := items - base
-		if n > genChunk {
-			n = genChunk
-		}
-		err := par.ForEach(ctx, opt.Workers, n, func(i int) error {
-			if err := opt.Inject.Fire(faultinject.StageGenPage); err != nil {
-				return err
+	return generate(ctx, cat, opt, emit, "%s-t%05d", hashString(string(workload.Title)),
+		func(c *Corpus, rng *mat.RNG) (func(*mat.RNG) int, pageBuilder) {
+			c.Workload = workload.Title
+			// The lexicon draws first, before any title: it plays the role of
+			// an external value inventory that exists prior to the corpus, and
+			// drawing it up front keeps every later per-title seed independent
+			// of it.
+			c.Lexicon = buildLexicon(&cat, rng)
+			return nil, func(pid string, _ int, rng *mat.RNG, sink *pageSink) seed.Document {
+				return buildTitle(&cat, pid, rng, sink)
 			}
-			sink := &pageSink{truthSeen: make(map[string]bool)}
-			sink.page = buildTitle(&cat, jobs[base+i].pid, mat.NewRNG(jobs[base+i].seed), sink)
-			sinks[i] = sink
-			return nil
 		})
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sinks[:n] {
-			corpus.Truth = append(corpus.Truth, s.truth...)
-			for _, dv := range s.domains {
-				corpus.Domains[dv[0]][dv[1]] = true
-			}
-			if emit != nil {
-				if err := emit(PageResult{Page: s.page, Truth: s.truth}); err != nil {
-					return nil, err
-				}
-			} else {
-				corpus.Pages = append(corpus.Pages, s.page)
-			}
-		}
-	}
-
-	corpus.Queries = buildQueries(corpus, items, mat.NewRNG(querySeed))
-	return corpus, nil
 }
 
 // buildLexicon draws the partial per-attribute value inventory that seeds the
@@ -153,19 +85,10 @@ func buildLexicon(cat *Category, rng *mat.RNG) []seed.LexiconEntry {
 }
 
 // buildTitle renders one product title and plants its truth judgments and
-// domain values into the page-local sink. The Page's HTML field carries the
-// plain title text — the title workload has no markup.
-func buildTitle(cat *Category, pid string, rng *mat.RNG, sink *pageSink) Page {
-	// Draw the product's own values.
-	values := make([]string, len(cat.Attributes))
-	brandIdx := -1
-	for j := range cat.Attributes {
-		values[j] = renderValue(&cat.Attributes[j], cat.Lang, rng)
-		sink.addDomain(cat.Attributes[j].Name, values[j])
-		if cat.Attributes[j].Name == cat.BrandAttr {
-			brandIdx = j
-		}
-	}
+// domain values into the page-local sink. The document's HTML field carries
+// the plain title text — the title workload has no markup.
+func buildTitle(cat *Category, pid string, rng *mat.RNG, sink *pageSink) seed.Document {
+	values, brandIdx := sink.drawValues(cat, rng)
 
 	decor := titleDecorations(cat.Lang)
 	var parts []string
@@ -215,15 +138,8 @@ func buildTitle(cat *Category, pid string, rng *mat.RNG, sink *pageSink) Page {
 	// Compatible-with tail on noisy titles: a value that belongs to another
 	// product ("passend für …", "…対応"), which an annotator rejects.
 	if rng.Float64() < cat.Noise*0.3 && len(cat.Attributes) > 0 {
-		j := rng.Intn(len(cat.Attributes))
-		a := &cat.Attributes[j]
-		sv := renderValue(a, cat.Lang, rng)
-		for sv == values[j] {
-			sv = renderValue(a, cat.Lang, rng)
-		}
-		sink.addDomain(a.Name, sv)
+		_, sv := sink.foreignValue(cat, pid, values, rng)
 		parts = append(parts, compatPhrase(cat.Lang, sv))
-		sink.addTruth(pid, a.Name, sv, false)
 	}
 
 	// Trailing decoration.
@@ -231,18 +147,10 @@ func buildTitle(cat *Category, pid string, rng *mat.RNG, sink *pageSink) Page {
 		pushDecor()
 	}
 
-	// Promo decorations are judged like detail-page filler: an over-eager
-	// tagger that extracts a decoration token as a value must count as wrong,
-	// not fall outside the truth sample.
-	for _, d := range decorUsed {
-		for _, tok := range valueLikeTokens(d, cat.Lang) {
-			for j := range cat.Attributes {
-				sink.addTruth(pid, cat.Attributes[j].Name, tok, false)
-			}
-		}
-	}
+	// Promo decorations are judged like detail-page filler.
+	sink.rejectValueLike(cat, pid, decorUsed)
 
-	return Page{ID: pid, HTML: strings.Join(parts, " ")}
+	return seed.Document{ID: pid, HTML: strings.Join(parts, " ")}
 }
 
 // titleDecorations returns the promo tokens sellers decorate listing titles

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/seed"
 	"repro/internal/workload"
 )
 
@@ -41,7 +42,7 @@ func TestGenerateTitlesDeterministicAcrossWorkers(t *testing.T) {
 func TestGenerateTitlesStreamMatchesMaterialized(t *testing.T) {
 	cat := titleCat(t)
 	base := GenerateTitles(cat, Options{Items: 40, Seed: 5})
-	var pages []Page
+	var pages []seed.Document
 	c, err := GenerateTitlesStreamCtx(context.Background(), cat, Options{Items: 40, Seed: 5},
 		func(p PageResult) error { pages = append(pages, p.Page); return nil })
 	if err != nil {

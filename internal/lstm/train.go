@@ -13,7 +13,7 @@ import (
 	"repro/internal/tagger"
 )
 
-// Trainer fits BiLSTM models. It implements tagger.Trainer.
+// Trainer fits BiLSTM models.
 type Trainer struct {
 	Config Config
 	// Ctx, when non-nil, cancels training between epochs (and every few

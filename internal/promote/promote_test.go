@@ -16,7 +16,6 @@ import (
 	"repro/internal/crf"
 	"repro/internal/fleet"
 	"repro/internal/gen"
-	"repro/internal/seed"
 	"repro/internal/serve"
 )
 
@@ -66,7 +65,7 @@ func truthCorpus(t *testing.T, gc *gen.Corpus, shardSize int) string {
 		t.Fatal(err)
 	}
 	for _, p := range gc.Pages {
-		if err := w.WritePage(seed.Document{ID: p.ID, HTML: p.HTML}); err != nil {
+		if err := w.WritePage(p); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -45,11 +45,6 @@ type Model interface {
 	Predict(seq Sequence) []string
 }
 
-// Trainer fits a Model on labeled sequences.
-type Trainer interface {
-	Fit(train []Sequence) (Model, error)
-}
-
 // ConfidenceModel is a Model that can also report how sure it is of each
 // token's label, as a probability in [0, 1]. The bootstrap engine uses the
 // confidences to drop low-certainty spans before they poison the next

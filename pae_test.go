@@ -14,12 +14,8 @@ import (
 // does.
 func TestPublicAPI(t *testing.T) {
 	gc := gen.Generate(gen.Tennis(), gen.Options{Seed: 4, Items: 90})
-	docs := make([]pae.Document, len(gc.Pages))
-	for i, p := range gc.Pages {
-		docs[i] = pae.Document{ID: p.ID, HTML: p.HTML}
-	}
 	res, err := pae.Run(
-		pae.Corpus{Documents: docs, Queries: gc.Queries, Lang: "ja"},
+		pae.Corpus{Documents: gc.Pages, Queries: gc.Queries, Lang: "ja"},
 		pae.Config{Iterations: 1, CRF: crf.Config{MaxIter: 25}},
 	)
 	if err != nil {
@@ -53,11 +49,7 @@ func TestPublicAPIModelKinds(t *testing.T) {
 // cause in Result.StopReason, matchable through the re-exported sentinels.
 func TestPublicAPICancellation(t *testing.T) {
 	gc := gen.Generate(gen.Tennis(), gen.Options{Seed: 4, Items: 90})
-	docs := make([]pae.Document, len(gc.Pages))
-	for i, p := range gc.Pages {
-		docs[i] = pae.Document{ID: p.ID, HTML: p.HTML}
-	}
-	corpus := pae.Corpus{Documents: docs, Queries: gc.Queries, Lang: "ja"}
+	corpus := pae.Corpus{Documents: gc.Pages, Queries: gc.Queries, Lang: "ja"}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

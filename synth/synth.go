@@ -8,7 +8,10 @@
 // phenomenon maps to a paper finding.
 package synth
 
-import "repro/internal/gen"
+import (
+	"repro/internal/gen"
+	"repro/internal/seed"
+)
 
 // Category is a product-category schema.
 type Category = gen.Category
@@ -20,8 +23,9 @@ type Attribute = gen.Attribute
 // referee's alias table and value domains.
 type Corpus = gen.Corpus
 
-// Page is one generated product page.
-type Page = gen.Page
+// Page is one generated product page: the pipeline's input document, so
+// Corpus.Pages serves as pae.Corpus.Documents as is.
+type Page = seed.Document
 
 // TruthTriple is one planted referee judgment.
 type TruthTriple = gen.TruthTriple
